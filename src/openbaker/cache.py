@@ -25,7 +25,7 @@ from .spectra import ResonanceSet, resonance_set
 
 # bump when endpoint/grid conventions or the solver pipeline change
 CONVENTION_VERSION = 1
-SOLVER_VERSION = 1
+SOLVER_VERSION = 2
 
 TRACE_TOL_PER_DIM = 1e-8
 
@@ -49,11 +49,16 @@ def cache_key(spec: PropagatorSpec) -> str:
     return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
+def _atomic_write(path: Path, write) -> None:
+    """Run write(tmp) on a fresh temp file beside path, then rename it.
+
+    Every writer stages under its own unique name, so concurrent writers
+    of one entry never rename each other's staged file.
+    """
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    os.close(fd)
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+        write(tmp)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -80,9 +85,7 @@ class SpectrumCache:
     def store(self, spec: PropagatorSpec, rs: ResonanceSet) -> Path:
         """Write payload then manifest, each through an atomic rename."""
         payload = self.payload_path(spec)
-        tmp = self.root / (payload.name + ".stage")
-        write_spectrum_csv(tmp, rs.values)
-        os.replace(tmp, payload)
+        _atomic_write(payload, lambda tmp: write_spectrum_csv(tmp, rs.values))
         manifest = {
             "dim": spec.dim,
             "q_c": str(as_fraction(spec.opening.q_c)),
@@ -94,7 +97,7 @@ class SpectrumCache:
             "tool_version": __version__,
         }
         data = (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("ascii")
-        _atomic_write(self.manifest_path(spec), data)
+        _atomic_write(self.manifest_path(spec), lambda tmp: Path(tmp).write_bytes(data))
         return payload
 
     def load(self, spec: PropagatorSpec) -> ResonanceSet:

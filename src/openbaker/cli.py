@@ -60,6 +60,13 @@ def _ints(text: str) -> list[int]:
     return [int(part) for part in text.split(",")]
 
 
+def _jobs(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _grid(text: str) -> list[Fraction]:
     """Inclusive decimal grid "start:stop:step" evaluated exactly."""
     try:
@@ -104,7 +111,7 @@ def _solve_many(specs, cache: SpectrumCache, jobs: int) -> dict:
     threads scale on independent dimensions.  Results come back in a
     dict, keeping emission order deterministic regardless of jobs.
     """
-    specs = list(specs)
+    specs = list(dict.fromkeys(specs))  # one solve and one store per spec
     if jobs <= 1 or len(specs) <= 1:
         return {spec: cache.get_or_compute(spec)[0] for spec in specs}
     with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -179,13 +186,9 @@ def cmd_stats(args, out: Path, cache: SpectrumCache) -> None:
                     specs.append(PropagatorSpec(d, OpeningSpec(qc, dq)))
                 except ValueError:
                     pass  # width_sweep records the failure row itself
-        _solve_many(specs, cache, args.jobs)
-
-        def provider(spec):
-            return cache.get_or_compute(spec)[0]
-
+        solved = _solve_many(specs, cache, args.jobs)
         points, failures = width_sweep(
-            dims, args.qc, dq, args.bin, args.tail_lo, solver=provider
+            dims, args.qc, dq, args.bin, args.tail_lo, solver=solved.__getitem__
         )
         for f in failures:
             print(f"width point N={f.dim} q_c={_num(f.q_c)} failed: {f.error}",
@@ -282,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default="out", help="output directory")
     common.add_argument("--cache", default=None,
                         help="spectrum cache directory (default: OUT/cache)")
-    common.add_argument("--jobs", type=int, default=1,
+    common.add_argument("--jobs", type=_jobs, default=1,
                         help="concurrent eigensolves for sweeps")
     common.add_argument("--seed", type=int, default=0,
                         help="seed recorded for sampling-based checks")

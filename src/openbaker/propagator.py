@@ -1,19 +1,20 @@
 """Torus quantization of the baker map and its opened variant.
 
-The closed propagator mixes position and momentum through discrete
-Fourier kernels with half-integer offsets (antiperiodic boundary
-conditions).  Opening the map multiplies by a diagonal projector that
+The closed propagator B = G_N^dagger blockdiag(G_{N/2}, G_{N/2}) mixes
+position and momentum through discrete Fourier kernels with half-integer
+offsets (antiperiodic boundary conditions).  Its entries have a closed
+form, so B and its diagonal are built in O(N^2) and O(N) without the
+matrix product.  Opening the map multiplies by a diagonal projector that
 kills the grid sites inside the absorbing strip, which simply zeroes the
 matching columns.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .classical import OpeningSpec
 
@@ -26,12 +27,46 @@ def gn_matrix(n: int) -> np.ndarray:
     return np.exp(-2j * np.pi * np.outer(j, j) / n) / np.sqrt(n)
 
 
-def baker_propagator(dim: int) -> np.ndarray:
-    """Unitary quantization of the closed map on dim grid sites."""
+def _check_dim(dim: int) -> None:
     if dim <= 0 or dim % 2:
         raise ValueError(f"quantization requires even dimension, got {dim}")
-    half = gn_matrix(dim // 2)
-    return gn_matrix(dim).conj().T @ block_diag(half, half)
+
+
+def _kernel_table(dim: int) -> np.ndarray:
+    """Left-half entries of B, indexed by r = (j - 2k - 1) mod 2 dim.
+
+    For a column k < h = dim/2 the sum over the middle index is
+    geometric and gives
+
+        B_jk = (i + (-1)^r) / (2 sqrt(dim h) sin(pi (2r + 1) / (2 dim))),
+
+    using (-1)^j = -(-1)^r.  2r + 1 is odd, so the sine never vanishes.
+    It is reduced on integers to [-dim, dim) first, the sine changing
+    sign with each shift by 2 dim, so the angle stays in [-pi/2, pi/2)
+    where the sine has full relative precision.
+    """
+    r = np.arange(2 * dim)
+    turns, reduced = np.divmod(2 * r + 1 + dim, 2 * dim)
+    reduced -= dim
+    flip = 1 - 2 * (turns % 2)
+    denom = 2 * math.sqrt(dim * (dim // 2)) * np.sin(np.pi * reduced / (2 * dim))
+    return (1j + (1 - 2 * (r % 2))) * flip / denom
+
+
+def _row_twist(j: np.ndarray) -> np.ndarray:
+    """Factor i (-1)^j taking column k of B to column k + dim/2."""
+    return 1j * (1 - 2 * (j % 2))
+
+
+def baker_propagator(dim: int) -> np.ndarray:
+    """Unitary quantization of the closed map on dim grid sites."""
+    _check_dim(dim)
+    h = dim // 2
+    j = np.arange(dim)[:, None]
+    b = np.empty((dim, dim), dtype=complex)
+    b[:, :h] = _kernel_table(dim)[(j - 2 * np.arange(h) - 1) % (2 * dim)]
+    b[:, h:] = b[:, :h] * _row_twist(j)
+    return b
 
 
 @dataclass(frozen=True)
@@ -42,19 +77,23 @@ class PropagatorSpec:
     opening: OpeningSpec
 
     def __post_init__(self):
-        if self.dim <= 0 or self.dim % 2:
-            raise ValueError(f"quantization requires even dimension, got {self.dim}")
+        _check_dim(self.dim)
 
     def kept_mask(self) -> np.ndarray:
         """True at grid sites outside the strip.
 
-        Sites sit at q_j = (j + 1/2)/dim; membership is decided on exact
-        rationals so edge sites land deterministically.
+        Sites sit at q_j = (2j + 1)/(2 dim).  The strip [lo, hi) absorbs
+        the j with 2 dim lo <= 2j + 1 < 2 dim hi; both ends of that index
+        range are found on exact rationals, so edge sites land
+        deterministically.  Indices past dim - 1 belong to a strip
+        wrapping through q = 0 and continue from site 0.
         """
+        lo, hi = self.opening.edges()
+        first = math.ceil((2 * self.dim * lo - 1) / 2)
+        stop = math.ceil((2 * self.dim * hi - 1) / 2)
         keep = np.ones(self.dim, dtype=bool)
-        for j in range(self.dim):
-            if self.opening.contains_q(Fraction(2 * j + 1, 2 * self.dim)):
-                keep[j] = False
+        keep[first:stop] = False
+        keep[: max(stop - self.dim, 0)] = False
         return keep
 
     @property
@@ -80,16 +119,18 @@ def open_propagator(spec: PropagatorSpec) -> np.ndarray:
 
 
 def propagator_diagonal(dim: int) -> np.ndarray:
-    """Diagonal of the closed propagator without the full matmul.
+    """Diagonal of the closed propagator from the closed form, in O(dim).
 
-    Used to check the trace identity against a stored spectrum at a cost
-    of one elementwise product instead of an O(dim^3) rebuild.
+    Used to check the trace identity against a stored spectrum without
+    building the matrix: B_jj is column j mod dim/2 at row j, twisted for
+    the right half.
     """
-    if dim <= 0 or dim % 2:
-        raise ValueError(f"quantization requires even dimension, got {dim}")
-    half = gn_matrix(dim // 2)
-    blk = block_diag(half, half)
-    return np.einsum("ij,ij->j", gn_matrix(dim).conj(), blk)
+    _check_dim(dim)
+    h = dim // 2
+    j = np.arange(dim)
+    diag = _kernel_table(dim)[(j - 2 * (j % h) - 1) % (2 * dim)]
+    diag[h:] *= _row_twist(j[h:])
+    return diag
 
 
 def open_trace(spec: PropagatorSpec) -> complex:

@@ -1,10 +1,17 @@
 """End-to-end command line behavior, run in process."""
 
 import json
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import openbaker
 from openbaker import csvio
+from openbaker.cache import SpectrumCache
 from openbaker.cli import build_parser, main
 
 
@@ -95,6 +102,45 @@ def test_stats_width_records_failures(tmp_path, capsys):
     rows = (tmp_path / "width_dq0.1.csv").read_text().splitlines()
     assert rows[0] == "N,q_c,sigma"
     assert [r.split(",")[0] for r in rows[1:]] == ["16", "18"]
+
+
+def test_stats_width_loads_each_spec_once(tmp_path, capsys, monkeypatch):
+    loads = Counter()
+    load = SpectrumCache.load
+
+    def counting_load(self, spec):
+        loads[spec.dim] += 1
+        return load(self, spec)
+
+    monkeypatch.setattr(SpectrumCache, "load", counting_load)
+    argv = ["stats", "width", "--out", str(tmp_path), "--dq", "0.1", "--qc", "0.5",
+            "--nmin", "16", "--nmax", "22", "--step", "2"]
+    for _ in ("cold", "warm"):
+        loads.clear()
+        code, out, err = run(argv, capsys)
+        assert code == 0
+        assert loads == {16: 1, 18: 1, 20: 1, 22: 1}
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs):
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--out", str(tmp_path), "--n", "16", "--qc", "0.5",
+              "--dq", "0.1", "--jobs", jobs])
+    assert exc.value.code == 2
+    last = capsys.readouterr().err.strip().splitlines()[-1]
+    assert last.endswith(f"argument --jobs: must be at least 1, got {jobs}")
+
+
+def test_cli_import_leaves_scipy_out():
+    src = str(Path(openbaker.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    probe = ("import sys, openbaker.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                            text=True, env=env, timeout=120, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 def test_stats_histogram_and_cumulative(tmp_path, capsys):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from openbaker import cache as cache_module
 from openbaker import csvio
 from openbaker.cache import CacheError, SpectrumCache, cache_key
 from openbaker.classical import OpeningSpec
@@ -159,3 +160,27 @@ def test_cache_dimension_mismatch(tmp_path):
     cache.manifest_path(spec18).write_text(json.dumps(manifest))
     with pytest.raises(CacheError, match="modes"):
         cache.load(spec18)
+
+
+def test_cache_store_survives_reentrant_writer(tmp_path, monkeypatch):
+    # a second store of the same spec runs while the first is mid-write,
+    # as two workers sharing a cache directory can; both must commit
+    cache = SpectrumCache(tmp_path)
+    spec = PropagatorSpec(16, OpeningSpec(0.3, 0.1))
+    rs = resonance_set(spec)
+    write = cache_module.write_spectrum_csv
+    reentered = []
+
+    def write_then_reenter(path, values):
+        write(path, values)
+        if not reentered:
+            reentered.append(path)
+            cache.store(spec, rs)
+
+    monkeypatch.setattr(cache_module, "write_spectrum_csv", write_then_reenter)
+    cache.store(spec, rs)
+    assert reentered
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [cache.payload_path(spec).name, cache.manifest_path(spec).name]
+    )
+    assert np.abs(cache.load(spec).values - rs.values).max() < 1e-13

@@ -53,6 +53,25 @@ def test_even_dimension_required(bad):
         PropagatorSpec(bad, OpeningSpec(0.5, 0.1))
 
 
+def definitional_propagator(n):
+    """G_n^dagger blockdiag(G_{n/2}, G_{n/2}) by dense matrix product."""
+    return gn_matrix(n).conj().T @ np.kron(np.eye(2), gn_matrix(n // 2))
+
+
+@pytest.mark.parametrize("n", [2, 4, 10, 64, 602])
+def test_closed_form_matches_definition(n):
+    b = baker_propagator(n)
+    assert np.abs(b - definitional_propagator(n)).max() < 2.5e-13
+    assert np.abs(b @ b.conj().T - np.eye(n)).max() < 3e-13
+
+
+@pytest.mark.parametrize("n", [2, 64, 602])
+def test_propagator_commutes_with_reflection(n):
+    # R: j -> n-1-j; the parity split of the opened solve relies on RBR = B
+    b = baker_propagator(n)
+    assert np.abs(b[::-1, ::-1] - b).max() < 1e-14
+
+
 @pytest.mark.parametrize("n", [2, 10, 50])
 def test_propagator_unitary(n):
     b = baker_propagator(n)
@@ -73,6 +92,22 @@ def test_kept_mask_edge_site():
     mask = spec.kept_mask()
     assert not mask[2]  # q = 1/4 sits on the closed edge
     assert mask[5]  # q = 11/20 sits on the open edge
+
+
+def test_kept_mask_matches_site_by_site_membership():
+    # N = 10 * odd puts a site on the closed edge 0.45 of (0.5, 0.1);
+    # q_c = 0 and 0.975 wrap through q = 0; delta_q = 0 and 1 are the extremes
+    centres = [Fraction(k, 40) for k in range(40)] + [Fraction(1, 3)]
+    widths = [Fraction(w) for w in ("0", "1", "0.05", "0.1", "0.2", "0.3", "0.99")]
+    for dim in (2, 4, 10, 30, 50, 64, 130, 490):
+        for qc in centres:
+            for dq in widths:
+                spec = PropagatorSpec(dim, OpeningSpec(qc, dq))
+                expected = [
+                    not spec.opening.contains_q(Fraction(2 * j + 1, 2 * dim))
+                    for j in range(dim)
+                ]
+                assert spec.kept_mask().tolist() == expected, (dim, qc, dq)
 
 
 @pytest.mark.parametrize("dim", [32, 100, 602])
@@ -98,7 +133,7 @@ def test_projector_idempotent():
     assert np.abs(open_propagator(spec) - baker_propagator(12) @ p).max() == 0
 
 
-@pytest.mark.parametrize("dim", [16, 64])
+@pytest.mark.parametrize("dim", [16, 64, 2048])
 def test_diagonal_shortcut(dim):
     b = baker_propagator(dim)
     assert np.abs(propagator_diagonal(dim) - np.diag(b)).max() < 1e-12

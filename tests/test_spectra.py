@@ -1,9 +1,12 @@
 """Eigensolver wrapper, canonical ordering, and the slow oracle."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+from openbaker import spectra
 from openbaker.classical import OpeningSpec
 from openbaker.propagator import PropagatorSpec, baker_propagator, open_propagator
 from openbaker.spectra import (
@@ -96,3 +99,65 @@ def test_oracle_rejects_big_input():
 def test_trace_identity_small():
     b = open_propagator(PropagatorSpec(8, OpeningSpec(0.3, 0.1)))
     assert abs(eigenvalues(b).sum() - np.trace(b)) < 1e-10
+
+
+def solve_recording_shapes(spec, monkeypatch):
+    """Uncached resonance_set, returning the shapes handed to the solver."""
+    shapes = []
+
+    def recording(m, *args, **kwargs):
+        shapes.append(m.shape)
+        return eigenvalues(m, *args, **kwargs)
+
+    monkeypatch.setattr(spectra, "eigenvalues", recording)
+    return resonance_set.__wrapped__(spec), shapes
+
+
+def is_mirror_symmetric(spec) -> bool:
+    keep = spec.kept_mask()
+    return bool((keep == keep[::-1]).all())
+
+
+def test_parity_split_matches_oracle_on_every_symmetric_mask():
+    # every mirror-symmetric mask a strip can cut from grids of N <= 8
+    seen = set()
+    for dim in (2, 4, 6, 8):
+        for a in range(2 * dim):
+            for b in range(dim + 1):
+                spec = PropagatorSpec(dim, OpeningSpec(Fraction(a, 2 * dim), Fraction(b, dim)))
+                key = (dim, tuple(spec.kept_mask()))
+                if not is_mirror_symmetric(spec) or key in seen:
+                    continue
+                seen.add(key)
+                oracle = brute_force_spectrum_oracle(open_propagator(spec))
+                assert multiset_distance(resonance_set(spec).values, oracle) < 1e-12, key
+    # empty, full, and the central and edge blocks of every even size
+    assert len(seen) == sum(2 + 2 * (dim // 2 - 1) for dim in (2, 4, 6, 8))
+
+
+@pytest.mark.parametrize("dim,qc,dq", [(64, "0.5", "0.1"), (130, "0", "0.2")])
+def test_parity_split_matches_full_solve(dim, qc, dq, monkeypatch):
+    spec = PropagatorSpec(dim, OpeningSpec(qc, dq))
+    assert is_mirror_symmetric(spec)
+    rs, shapes = solve_recording_shapes(spec, monkeypatch)
+    assert shapes == [(dim // 2, dim // 2)] * 2
+    full = eigenvalues(open_propagator(spec))
+    assert multiset_distance(rs.values, full) < 1e-9
+    assert (rs.values == sort_spectrum(rs.values)).all()
+
+
+def test_asymmetric_mask_solves_full_matrix(monkeypatch):
+    # N = 50 puts site 22 on the closed edge q = 0.45 of the centred strip,
+    # while its mirror 27 sits on the open edge 0.55
+    spec = PropagatorSpec(50, OpeningSpec("0.5", "0.1"))
+    keep = spec.kept_mask()
+    assert not keep[22] and keep[27]
+    rs, shapes = solve_recording_shapes(spec, monkeypatch)
+    assert shapes == [(50, 50)]
+    assert multiset_distance(rs.values, eigenvalues(open_propagator(spec))) == 0
+
+
+def test_resonance_set_rejects_dimension_above_cap():
+    # checked before the propagator is built, for symmetric masks as well
+    with pytest.raises(ValueError, match="cap"):
+        resonance_set(PropagatorSpec(spectra.MAX_EIGEN_DIM + 2, OpeningSpec("0.5", "0.2")))
