@@ -33,7 +33,6 @@ from .propagator import (
     baker_propagator,
     gn_matrix,
     open_propagator,
-    opening_projector,
 )
 from .spectra import (
     EigensolverError,
@@ -79,7 +78,6 @@ __all__ = [
     "baker_propagator",
     "gn_matrix",
     "open_propagator",
-    "opening_projector",
     "EigensolverError",
     "ResonanceSet",
     "brute_force_spectrum_oracle",

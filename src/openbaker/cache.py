@@ -23,9 +23,10 @@ from .csvio import read_spectrum_csv, sha256_file, write_spectrum_csv
 from .propagator import PropagatorSpec, open_trace
 from .spectra import ResonanceSet, resonance_set
 
-# bump when endpoint/grid conventions or the solver pipeline change
+# bump when endpoint/grid conventions change, or when the solver pipeline
+# or the payload's number format (csvio.write_spectrum_csv) changes
 CONVENTION_VERSION = 1
-SOLVER_VERSION = 2
+SOLVER_VERSION = 3
 
 TRACE_TOL_PER_DIM = 1e-8
 
@@ -132,8 +133,9 @@ class SpectrumCache:
     def get_or_compute(self, spec: PropagatorSpec) -> tuple[ResonanceSet, bool]:
         """Return the cached spectrum, computing and storing on a miss.
 
-        The result is always the parse-back of the stored CSV, so hit
-        and miss paths hand identical numbers downstream.
+        The result is always the verified parse-back of the stored CSV,
+        which round-trips exactly, so hits, misses and resonance_set(spec)
+        hand the same numbers downstream.
         """
         if self.has(spec):
             return self.load(spec), True

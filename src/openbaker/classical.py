@@ -85,16 +85,6 @@ def baker_inverse(x: PhasePoint) -> PhasePoint:
     return PhasePoint((q + 1) / 2, 2 * p - 1)
 
 
-def baker_forward_array(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Forward step on parallel coordinate arrays."""
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-    left = q < 0.5
-    qn = np.where(left, 2.0 * q, 2.0 * q - 1.0)
-    pn = np.where(left, 0.5 * p, 0.5 * (p + 1.0))
-    return qn, pn
-
-
 def baker_inverse_array(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Backward step on parallel coordinate arrays."""
     q = np.asarray(q, dtype=float)

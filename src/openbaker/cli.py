@@ -21,11 +21,12 @@ from . import csvio
 from .cache import CacheError, SpectrumCache
 from .classical import OpeningSpec, as_fraction
 from .propagator import PropagatorSpec
-from .spectra import EigensolverError
+from .spectra import MAX_EIGEN_DIM, EigensolverError
 from .stats import (
     DEFAULT_BIN_WIDTH,
     DEFAULT_NU_CUT,
     TAIL_LO,
+    WidthFailure,
     cumulative_moduli,
     modulus_histogram,
     rescaled_decay_histogram,
@@ -46,6 +47,7 @@ from .trapped import (
 DQ_PRESETS = ("0.05", "0.1", "0.2")
 WEYL_DIM_PRESETS = (128, 180, 256, 362, 512, 724, 1024)
 WIDTH_DIM_RANGE = (500, 2000)
+MAX_GRID_POINTS = 100_000
 
 
 def _fractions(text: str) -> list[Fraction]:
@@ -75,12 +77,12 @@ def _grid(text: str) -> list[Fraction]:
         raise ValueError(f"bad grid {text!r}, expected start:stop:step") from exc
     if step <= 0 or stop < start:
         raise ValueError(f"bad grid {text!r}")
-    values = []
-    k = 0
-    while start + k * step <= stop:
-        values.append(start + k * step)
-        k += 1
-    return values
+    count = (stop - start) // step + 1
+    if count > MAX_GRID_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"grid {text!r} has {count} points, more than {MAX_GRID_POINTS}"
+        )
+    return [start + k * step for k in range(count)]
 
 
 def _pair(text: str) -> tuple[Fraction, Fraction]:
@@ -178,19 +180,18 @@ def cmd_stats(args, out: Path, cache: SpectrumCache) -> None:
     dq = args.dq
     tag = f"dq{_num(dq)}"
     if args.mode == "width":
-        dims = list(range(args.nmin, args.nmax + 1, args.step))
-        specs = []
+        specs, failures = [], []
         for qc in args.qc:
-            for d in dims:
+            for d in range(args.nmin, args.nmax + 1, args.step):
                 try:
                     specs.append(PropagatorSpec(d, OpeningSpec(qc, dq)))
-                except ValueError:
-                    pass  # width_sweep records the failure row itself
+                except ValueError as exc:
+                    failures.append(WidthFailure(dim=d, q_c=qc, error=str(exc)))
         solved = _solve_many(specs, cache, args.jobs)
-        points, failures = width_sweep(
-            dims, args.qc, dq, args.bin, args.tail_lo, solver=solved.__getitem__
+        points, empty = width_sweep(
+            (solved[spec] for spec in specs), args.bin, args.tail_lo
         )
-        for f in failures:
+        for f in failures + empty:
             print(f"width point N={f.dim} q_c={_num(f.q_c)} failed: {f.error}",
                   file=sys.stderr)
         path = out / f"width_{tag}.csv"
@@ -287,8 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="spectrum cache directory (default: OUT/cache)")
     common.add_argument("--jobs", type=_jobs, default=1,
                         help="concurrent eigensolves for sweeps")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed recorded for sampling-based checks")
     sub = parser.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("classical", parents=[common],
@@ -355,6 +354,8 @@ def _validate(args, parser: argparse.ArgumentParser) -> None:
             parser.error(f"stats {args.mode} requires --n")
         if not args.qc:
             parser.error(f"stats {args.mode} requires --qc")
+        if args.mode == "width" and args.nmax > MAX_EIGEN_DIM:
+            parser.error(f"--nmax {args.nmax} exceeds the solver cap {MAX_EIGEN_DIM}")
     if args.command == "weyl" and args.inject is None:
         if args.qc is None or args.dq is None:
             parser.error("weyl requires --qc and --dq unless --inject is used")

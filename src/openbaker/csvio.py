@@ -62,7 +62,11 @@ def write_series_csv(path, series: SurvivalSeries) -> None:
 
 
 def write_spectrum_csv(path, values: np.ndarray) -> None:
-    """Eigenvalues in their stored order, one row per mode."""
+    """Eigenvalues in their stored order, one row per mode.
+
+    17 significant digits identify every double, so read_spectrum_csv
+    returns exactly the values written.
+    """
     moduli = np.abs(values)
     with np.errstate(divide="ignore"):
         gammas = -2.0 * np.log(moduli)
@@ -70,7 +74,7 @@ def write_spectrum_csv(path, values: np.ndarray) -> None:
         path,
         SPECTRUM_HEADER,
         (
-            [str(i), sig(z.real), sig(z.imag), sig(nu), sig(g)]
+            [str(i)] + [sig(x, 17) for x in (z.real, z.imag, nu, g)]
             for i, (z, nu, g) in enumerate(zip(values, moduli, gammas))
         ),
     )

@@ -102,11 +102,6 @@ class PropagatorSpec:
         return int((~self.kept_mask()).sum())
 
 
-def opening_projector(spec: PropagatorSpec) -> np.ndarray:
-    """Diagonal 0/1 matrix keeping sites outside the strip."""
-    return np.diag(spec.kept_mask().astype(complex))
-
-
 def open_propagator(spec: PropagatorSpec) -> np.ndarray:
     """Closed propagator with absorbed columns zeroed.
 
@@ -138,26 +133,3 @@ def open_trace(spec: PropagatorSpec) -> complex:
     diag = propagator_diagonal(spec.dim)
     return complex(diag[spec.kept_mask()].sum())
 
-
-def save_matrix(path, m: np.ndarray) -> None:
-    """Dump a square complex matrix: int64 dimension then row-major
-    complex128 entries, everything little-endian."""
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    with open(path, "wb") as fh:
-        np.array([m.shape[0]], dtype="<i8").tofile(fh)
-        np.ascontiguousarray(m, dtype="<c16").tofile(fh)
-
-
-def load_matrix(path) -> np.ndarray:
-    """Read back a matrix written by save_matrix, verifying the size."""
-    with open(path, "rb") as fh:
-        header = np.fromfile(fh, dtype="<i8", count=1)
-        if header.size != 1 or header[0] <= 0:
-            raise ValueError(f"bad matrix header in {path}")
-        n = int(header[0])
-        data = np.fromfile(fh, dtype="<c16")
-    if data.size != n * n:
-        raise ValueError(f"truncated matrix file {path}: {data.size} of {n * n} entries")
-    return data.reshape(n, n).astype(complex)

@@ -10,7 +10,6 @@ machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
@@ -79,9 +78,8 @@ class ResonanceSet:
         return int(self.values.size)
 
 
-@lru_cache(maxsize=256)
 def resonance_set(spec: PropagatorSpec) -> ResonanceSet:
-    """Solve one opened propagator; results are memoized per spec.
+    """Solve one opened propagator.
 
     The closed propagator commutes with the reflection R: j -> dim-1-j.
     When the kept mask is mirror-symmetric, so does the opened one, A,
@@ -89,7 +87,8 @@ def resonance_set(spec: PropagatorSpec) -> ResonanceSet:
     A11 - A12 J, where J reverses dim/2 indices: two solves of half the
     size, a quarter of the work.  Other masks solve A itself.
 
-    Returned arrays are marked read-only since cached objects are shared.
+    The returned values are read-only, as are those SpectrumCache loads,
+    so a ResonanceSet never changes once made.
     """
     if spec.dim > MAX_EIGEN_DIM:
         raise ValueError(f"dimension {spec.dim} exceeds the solver cap {MAX_EIGEN_DIM}")

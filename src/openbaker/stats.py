@@ -10,13 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .classical import OpeningSpec
-from .propagator import PropagatorSpec
-from .spectra import EigensolverError, ResonanceSet, resonance_set
+from .spectra import ResonanceSet
 
 DEFAULT_BIN_WIDTH = 0.01
 TAIL_LO = 0.7
@@ -125,30 +123,25 @@ class WidthFailure:
 
 
 def width_sweep(
-    dims: Sequence[int],
-    qc_values: Sequence[float],
-    delta_q: float,
+    spectra: Iterable[ResonanceSet],
     bin_width: float = DEFAULT_BIN_WIDTH,
     tail_lo: float = TAIL_LO,
-    solver: Optional[Callable[[PropagatorSpec], ResonanceSet]] = None,
 ) -> tuple[list[WidthPoint], list[WidthFailure]]:
-    """Half-height widths over a (q_c, dim) grid.
+    """Half-height widths of the given spectra, in their order.
 
-    A failing point is recorded and skipped rather than aborting the
-    remaining grid.
+    A spectrum whose tail histogram has no occupied bin is recorded as a
+    failure and skipped rather than aborting the rest.
     """
-    solve = solver if solver is not None else resonance_set
     points: list[WidthPoint] = []
     failures: list[WidthFailure] = []
-    for qc in qc_values:
-        for dim in dims:
-            try:
-                rs = solve(PropagatorSpec(dim, OpeningSpec(qc, delta_q)))
-                sigma = half_height_width(tail_histogram(rs, bin_width, tail_lo))
-            except (ValueError, EigensolverError) as exc:
-                failures.append(WidthFailure(dim=dim, q_c=qc, error=str(exc)))
-                continue
-            points.append(WidthPoint(dim=dim, q_c=qc, sigma=sigma))
+    for rs in spectra:
+        qc = rs.spec.opening.q_c
+        try:
+            sigma = half_height_width(tail_histogram(rs, bin_width, tail_lo))
+        except ValueError as exc:
+            failures.append(WidthFailure(dim=rs.dim, q_c=qc, error=str(exc)))
+            continue
+        points.append(WidthPoint(dim=rs.dim, q_c=qc, sigma=sigma))
     return points, failures
 
 

@@ -12,7 +12,8 @@ import pytest
 import openbaker
 from openbaker import csvio
 from openbaker.cache import SpectrumCache
-from openbaker.cli import build_parser, main
+from openbaker.cli import MAX_GRID_POINTS, build_parser, main
+from openbaker.spectra import MAX_EIGEN_DIM
 
 
 def run(argv, capsys):
@@ -220,9 +221,32 @@ def test_bad_grid_is_a_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
+def test_grid_above_cap_is_a_usage_error(tmp_path, capsys):
+    # the point count is found from the Fractions before any list is built
+    with pytest.raises(SystemExit) as exc:
+        main(["classical", "--out", str(tmp_path), "--grid", "0:1:0.000000001"])
+    assert exc.value.code == 2
+    assert f"has 1000000001 points, more than {MAX_GRID_POINTS}" in capsys.readouterr().err
+    args = build_parser().parse_args(["classical", "--grid", f"1:{MAX_GRID_POINTS}:1"])
+    assert len(args.grid) == MAX_GRID_POINTS and args.grid[-1] == MAX_GRID_POINTS
+
+
+def test_width_nmax_above_solver_cap_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    def no_solve(self, spec):
+        raise AssertionError(f"solved N={spec.dim} before rejecting --nmax")
+
+    monkeypatch.setattr(SpectrumCache, "get_or_compute", no_solve)
+    with pytest.raises(SystemExit) as exc:
+        main(["stats", "width", "--out", str(tmp_path), "--dq", "0.1", "--qc", "0.5",
+              "--nmin", "16", "--nmax", str(MAX_EIGEN_DIM + 1)])
+    assert exc.value.code == 2
+    assert f"exceeds the solver cap {MAX_EIGEN_DIM}" in capsys.readouterr().err
+
+
 def test_parser_defaults_are_parsed():
     args = build_parser().parse_args(["classical"])
     assert len(args.grid) == 101
+    assert not hasattr(args, "seed")
     assert [str(dq) for dq in args.dq] == ["1/20", "1/10", "1/5"]
     args = build_parser().parse_args(["weyl", "--inject", "power-law"])
     assert args.n == []

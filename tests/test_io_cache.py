@@ -45,11 +45,15 @@ def test_spectrum_csv_roundtrip(tmp_path):
     assert lines[3].endswith(",inf")
     assert lines[3].startswith("2,0,0,0,")
     back = csvio.read_spectrum_csv(path)
-    assert np.abs(back - values).max() < 1e-14
+    assert (back == values).all()
     # serialize the parse-back: stable bytes
     path2 = tmp_path / "spec2.csv"
     csvio.write_spectrum_csv(path2, back)
     assert path2.read_bytes() == path.read_bytes()
+    # a solved spectrum parses back bit for bit
+    solved = resonance_set(PropagatorSpec(64, OpeningSpec(0.3, 0.1))).values
+    csvio.write_spectrum_csv(path, solved)
+    assert (csvio.read_spectrum_csv(path) == solved).all()
 
 
 def test_read_spectrum_rejects_other_headers(tmp_path):
@@ -98,16 +102,17 @@ def test_cache_key_canonicalizes_parameters():
 
 
 def test_cache_roundtrip(tmp_path):
-    cache = SpectrumCache(tmp_path / "cache")
-    spec = PropagatorSpec(16, OpeningSpec(0.3, 0.1))
-    rs, hit = cache.get_or_compute(spec)
-    assert not hit
-    rs2, hit2 = cache.get_or_compute(spec)
-    assert hit2
-    assert (rs.values == rs2.values).all()
-    # payload equals the direct serialization of the solved spectrum
-    direct = resonance_set(spec)
-    assert np.abs(rs.values - direct.values).max() < 1e-13
+    # miss and hit both return exactly the solver's values, for a full
+    # solve and for a parity-split one
+    for dim, qc in ((16, "0.3"), (256, "0.5")):
+        spec = PropagatorSpec(dim, OpeningSpec(qc, "0.1"))
+        direct = resonance_set(spec).values
+        rs, hit = SpectrumCache(tmp_path).get_or_compute(spec)
+        assert not hit
+        assert (rs.values == direct).all()
+        rs2, hit2 = SpectrumCache(tmp_path).get_or_compute(spec)
+        assert hit2
+        assert (rs2.values == direct).all()
 
 
 def test_cache_recompute_bitwise_identical(tmp_path):
@@ -183,4 +188,4 @@ def test_cache_store_survives_reentrant_writer(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         [cache.payload_path(spec).name, cache.manifest_path(spec).name]
     )
-    assert np.abs(cache.load(spec).values - rs.values).max() < 1e-13
+    assert (cache.load(spec).values == resonance_set(spec).values).all()

@@ -1,4 +1,4 @@
-"""Quantized propagators: kernels, projectors, dumps."""
+"""Quantized propagators: kernels, openings, diagonals."""
 
 from fractions import Fraction
 
@@ -10,12 +10,9 @@ from openbaker.propagator import (
     PropagatorSpec,
     baker_propagator,
     gn_matrix,
-    load_matrix,
     open_propagator,
     open_trace,
-    opening_projector,
     propagator_diagonal,
-    save_matrix,
 )
 
 
@@ -125,41 +122,9 @@ def test_open_propagator_columns():
     assert (opened[:, keep] == closed[:, keep]).all()
 
 
-def test_projector_idempotent():
-    spec = PropagatorSpec(12, OpeningSpec(0.3, 0.2))
-    p = opening_projector(spec)
-    assert (p == p @ p).all()
-    assert set(np.unique(np.diag(p).real)) <= {0.0, 1.0}
-    assert np.abs(open_propagator(spec) - baker_propagator(12) @ p).max() == 0
-
-
 @pytest.mark.parametrize("dim", [16, 64, 2048])
 def test_diagonal_shortcut(dim):
     b = baker_propagator(dim)
     assert np.abs(propagator_diagonal(dim) - np.diag(b)).max() < 1e-12
     spec = PropagatorSpec(dim, OpeningSpec(0.3, 0.1))
     assert abs(open_trace(spec) - np.trace(open_propagator(spec))) < 1e-10
-
-
-def test_matrix_dump_roundtrip(tmp_path):
-    rng = np.random.default_rng(5)
-    m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    path = tmp_path / "m.bin"
-    save_matrix(path, m)
-    assert path.stat().st_size == 8 + 16 * 36
-    back = load_matrix(path)
-    assert (back == m).all()
-
-
-def test_matrix_dump_errors(tmp_path):
-    with pytest.raises(ValueError):
-        save_matrix(tmp_path / "x.bin", np.zeros((2, 3)))
-    path = tmp_path / "trunc.bin"
-    save_matrix(path, np.eye(4, dtype=complex))
-    path.write_bytes(path.read_bytes()[:-8])
-    with pytest.raises(ValueError, match="truncated"):
-        load_matrix(path)
-    bad = tmp_path / "bad.bin"
-    bad.write_bytes(b"\x00" * 4)
-    with pytest.raises(ValueError, match="header"):
-        load_matrix(bad)

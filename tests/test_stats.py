@@ -99,11 +99,14 @@ def test_width_is_multiple_of_bin():
 
 
 def test_width_sweep_records_failures():
-    points, failures = width_sweep([16, 17, 18], [0.3], 0.1)
-    assert [p.dim for p in points] == [16, 18]
-    assert len(failures) == 1 and failures[0].dim == 17
-    assert "even dimension" in failures[0].error
-    assert all(p.q_c == 0.3 for p in points)
+    # the middle spectrum has no modulus above tail_lo
+    sets = [fake_set([0.95, 0.93, 0.2, 0.0], dim=20), fake_set([0.5, 0.3], dim=16),
+            fake_set([0.75, 0.72], dim=18)]
+    points, failures = width_sweep(sets, 0.1, 0.7)
+    assert [(p.dim, p.sigma) for p in points] == [(20, 0.1), (18, 0.1)]
+    assert len(failures) == 1 and failures[0].dim == 16
+    assert "occupied" in failures[0].error
+    assert all(p.q_c == 0.5 for p in points) and failures[0].q_c == 0.5
 
 
 def test_rescaled_histogram_geometry():
