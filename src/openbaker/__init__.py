@@ -18,11 +18,13 @@ from .classical import (
 )
 from .trapped import (
     EscapeRateFit,
+    ExactEscape,
     IntervalUnion,
     ResolutionExhausted,
     SurvivalSeries,
     area_series,
     escape_rate,
+    exact_escape,
     monte_carlo_area,
     qc_sweep,
     render_trapped_set,
@@ -65,11 +67,13 @@ __all__ = [
     "in_opening",
     "survival_time",
     "EscapeRateFit",
+    "ExactEscape",
     "IntervalUnion",
     "ResolutionExhausted",
     "SurvivalSeries",
     "area_series",
     "escape_rate",
+    "exact_escape",
     "monte_carlo_area",
     "qc_sweep",
     "render_trapped_set",

@@ -27,6 +27,7 @@ from .stats import (
     DEFAULT_NU_CUT,
     TAIL_LO,
     WidthFailure,
+    bin_count,
     cumulative_moduli,
     modulus_histogram,
     rescaled_decay_histogram,
@@ -40,6 +41,7 @@ from .trapped import (
     ResolutionExhausted,
     area_series,
     escape_rate,
+    exact_escape,
     qc_sweep,
     render_trapped_set,
 )
@@ -48,6 +50,11 @@ DQ_PRESETS = ("0.05", "0.1", "0.2")
 WEYL_DIM_PRESETS = (128, 180, 256, 362, 512, 724, 1024)
 WIDTH_DIM_RANGE = (500, 2000)
 MAX_GRID_POINTS = 100_000
+# a raster holds resolution^2 cells, and image mode float arrays of that
+# size; past t = 20 the survivor strips are far below a pixel at this cap,
+# while the interval recursion behind rasters grows like 2^t
+MAX_RESOLUTION = 2048
+MAX_RASTER_T = 20
 
 
 def _fractions(text: str) -> list[Fraction]:
@@ -136,9 +143,11 @@ def cmd_classical(args, out: Path, cache: SpectrumCache) -> None:
             csvio.write_series_csv(path, series)
             _emit(path, args)
             fit = escape_rate(series, (fit_lo, fit_hi))
+            exact = exact_escape(series.opening)
             print(
                 f"qc={_num(qc)} dq={_num(dq)}: gamma={fit.gamma:.5f} "
-                f"d_info={fit.d_info:.5f} rms={fit.residual_rms:.2e}"
+                f"d_info={fit.d_info:.5f} rms={fit.residual_rms:.2e} "
+                f"exact_gamma={exact.gamma:.5f} exact_d_info={exact.d_info:.5f}"
             )
     raster_t = args.t if args.raster_t is None else args.raster_t
     modes = ("initial", "image") if args.raster_mode == "both" else (args.raster_mode,)
@@ -348,14 +357,36 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(args, parser: argparse.ArgumentParser) -> None:
+    """Reject bad inputs with exit status 2 before anything is built."""
+    if args.command == "classical" and args.raster_qc:
+        raster_t = args.t if args.raster_t is None else args.raster_t
+        if not 1 <= args.resolution <= MAX_RESOLUTION:
+            parser.error(
+                f"--resolution {args.resolution} is outside 1..{MAX_RESOLUTION}"
+            )
+        if not 0 <= raster_t <= MAX_RASTER_T:
+            parser.error(f"raster time {raster_t} is outside 0..{MAX_RASTER_T}")
     if args.command == "stats":
         needs_n = args.mode in ("cumulative", "histogram", "rescaled")
         if needs_n and not args.n:
             parser.error(f"stats {args.mode} requires --n")
         if not args.qc:
             parser.error(f"stats {args.mode} requires --qc")
-        if args.mode == "width" and args.nmax > MAX_EIGEN_DIM:
-            parser.error(f"--nmax {args.nmax} exceeds the solver cap {MAX_EIGEN_DIM}")
+        if args.mode == "width":
+            if args.nmax > MAX_EIGEN_DIM:
+                parser.error(
+                    f"--nmax {args.nmax} exceeds the solver cap {MAX_EIGEN_DIM}"
+                )
+            if args.step < 1:
+                parser.error(f"--step must be at least 1, got {args.step}")
+            if args.nmin > args.nmax:
+                parser.error(f"--nmin {args.nmin} above --nmax {args.nmax}: no dimensions")
+        if args.mode != "cumulative":
+            lo, hi = args.range if args.mode == "histogram" else (args.tail_lo, 1.0)
+            try:
+                bin_count(args.bin, float(lo), float(hi))
+            except ValueError as exc:
+                parser.error(str(exc))
     if args.command == "weyl" and args.inject is None:
         if args.qc is None or args.dq is None:
             parser.error("weyl requires --qc and --dq unless --inject is used")

@@ -55,6 +55,18 @@ class ModulusHistogram:
         return np.linspace(self.lo, self.hi, self.counts.size + 1)
 
 
+def bin_count(bin_width: float, lo: float, hi: float) -> int:
+    """Number of bins of width bin_width tiling [lo, hi], else ValueError."""
+    if bin_width <= 0:
+        raise ValueError("bin width must be positive")
+    if not lo < hi:
+        raise ValueError(f"empty modulus range [{lo}, {hi}]")
+    nbins = round((hi - lo) / bin_width)
+    if nbins < 1 or abs(nbins * bin_width - (hi - lo)) > 1e-9:
+        raise ValueError(f"bin width {bin_width} does not tile [{lo}, {hi}]")
+    return nbins
+
+
 def modulus_histogram(
     rs: ResonanceSet,
     bin_width: float = DEFAULT_BIN_WIDTH,
@@ -68,13 +80,7 @@ def modulus_histogram(
     tolerance are snapped onto the edge first.  Values outside the range
     are left out of the counts but still enter the normalization.
     """
-    if bin_width <= 0:
-        raise ValueError("bin width must be positive")
-    if not lo < hi:
-        raise ValueError(f"empty modulus range [{lo}, {hi}]")
-    nbins = round((hi - lo) / bin_width)
-    if nbins < 1 or abs(nbins * bin_width - (hi - lo)) > 1e-9:
-        raise ValueError(f"bin width {bin_width} does not tile [{lo}, {hi}]")
+    nbins = bin_count(bin_width, lo, hi)
     m = rs.moduli
     m = np.where((m > hi) & (m <= hi + EDGE_OVERSHOOT_TOL), hi, m)
     counts, _ = np.histogram(m, bins=np.linspace(lo, hi, nbins + 1))

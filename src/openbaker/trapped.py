@@ -1,14 +1,24 @@
 """Forward trapped set of the doubling map with a hole, in exact arithmetic.
 
 Escape from the baker map only depends on the q coordinate, which evolves
-under q -> 2q mod 1.  The t-step survivor set S_t is a finite union of
-half-open intervals whose endpoints are rationals with denominator
-den0 * 2^t, so the recursion
+under q -> 2q mod 1.  The hole edges are rationals, so their doubling
+orbits are finite.  Together with the orbits of 0 and 1/2 they cut the
+circle into a Markov partition: each cell lies in one branch, doubling
+maps it onto a contiguous run of cells, and every cell lies wholly inside
+or outside the hole.  The survivor mass of each cell then obeys an integer
+recursion, so the survivor areas A(t) come out as exact Fractions in
+O(cells) per step, and the escape rate is exact: gamma = ln 2 - ln rho
+for the spectral radius rho of the cell transition matrix.
+
+The t-step survivor set S_t itself is a finite union of half-open
+intervals whose endpoints are rationals with denominator den0 * 2^t, so
+the recursion
 
     S_0 = complement of the hole,  S_{t+1} = S_0 intersect D^{-1}(S_t)
 
-runs on integer endpoints with no rounding at all.  Areas come out as
-Fraction values and the escape rate is fitted from their logarithms.
+runs on integer endpoints with no rounding at all.  Its interval count
+grows geometrically in t, up to 2^t, so it serves the rasters, and the
+tests use it as the definitional reference for the partition's areas.
 """
 
 from __future__ import annotations
@@ -16,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -24,6 +34,11 @@ from .classical import OpeningSpec, as_fraction, baker_inverse_array
 
 DEFAULT_FIT_RANGE = (5, 25)
 DEFAULT_MAX_INTERVALS = 10**8
+# Partitions are refused above this many cells, during the orbit walk and
+# before anything else is built.  Hole edges with up to four decimals need
+# about a thousand cells at most, and exact_escape's dense eigensolve of a
+# component stays near 20 s at the cap.
+MAX_CELLS = 4096
 
 _LN2 = math.log(2.0)
 # int64 headroom: endpoints live in [0, 2*scale] during a doubling step
@@ -31,16 +46,16 @@ _MAX_SCALE = 2**62
 
 
 class ResolutionExhausted(RuntimeError):
-    """Raised when the interval population or denominator outgrows int64."""
+    """Raised when an exact computation would outgrow its fixed size limit.
 
-    def __init__(self, t: int, n_intervals: int, scale: int, limit: int):
-        self.t = t
-        self.n_intervals = n_intervals
+    ``size`` counts the intervals or cells at the limit and ``scale`` is
+    their common denominator.
+    """
+
+    def __init__(self, message: str, size: int, scale: int):
+        self.size = size
         self.scale = scale
-        super().__init__(
-            f"survivor recursion stopped at t={t}: {n_intervals} intervals "
-            f"at denominator {scale} (limit {limit})"
-        )
+        super().__init__(message)
 
 
 class IntervalUnion:
@@ -159,10 +174,14 @@ def survivor_sets(
     t = 0
     while True:
         t += 1
-        if scale >= _MAX_SCALE:
-            raise ResolutionExhausted(t, starts.size, scale, max_intervals)
-        if 2 * starts.size > max_intervals:
-            raise ResolutionExhausted(t, 2 * starts.size, scale, max_intervals)
+        size = 2 * starts.size
+        if scale >= _MAX_SCALE or size > max_intervals:
+            raise ResolutionExhausted(
+                f"survivor recursion stopped at t={t}: {size} intervals "
+                f"at denominator {scale} (limit {max_intervals})",
+                size,
+                scale,
+            )
         # preimage under doubling: two copies at half size, i.e. the same
         # integer intervals reread at twice the denominator plus a shift
         cand_s = np.concatenate((starts, starts + scale))
@@ -206,18 +225,175 @@ class SurvivalSeries:
         )
 
 
-def area_series(
-    opening: OpeningSpec, t_max: int, max_intervals: int = DEFAULT_MAX_INTERVALS
-) -> SurvivalSeries:
-    """Survivor areas from one run of the interval recursion."""
+class _Partition(NamedTuple):
+    """Markov partition of the circle for one hole, cell edges over den.
+
+    Doubling maps cell k onto cells first[k] .. last[k] - 1.  Hole cells
+    get an empty run and a zero kept length, which zeroes their rows of
+    the transition matrix.
+    """
+
+    den: int
+    kept: list[int]  # cell lengths in units of 1/den, 0 inside the hole
+    first: np.ndarray
+    last: np.ndarray
+
+
+def _markov_partition(opening: OpeningSpec) -> _Partition:
+    """Cut the circle at the doubling orbits of 0, 1/2 and both hole edges.
+
+    The cut set maps into itself and holds 0 and 1/2, so each cell lies
+    in one branch and its image is a run of cells; it holds the edges, so
+    each cell lies wholly inside or outside the hole.
+    """
+    lo, hi = opening.edges()
+    den = math.lcm(2, lo.denominator, hi.denominator)
+    half, lo_i, hi_i = den // 2, int(lo * den), int(hi * den)
+    points: set[int] = set()
+    for x in (0, half, lo_i, hi_i % den):
+        while x not in points:
+            if len(points) == MAX_CELLS:
+                raise ResolutionExhausted(
+                    f"Markov partition of the hole edges needs more than "
+                    f"{MAX_CELLS} cells at denominator {den}",
+                    len(points) + 1,
+                    den,
+                )
+            points.add(x)
+            x = 2 * x % den
+    cuts = sorted(points)
+    index = {x: k for k, x in enumerate(cuts)}
+    index[den] = len(cuts)
+    cuts.append(den)
+    kept, first, last = [], [], []
+    for a, b in zip(cuts, cuts[1:]):
+        # hi_i may exceed den when the hole wraps through q = 0
+        if lo_i <= a < hi_i or a < hi_i - den:
+            kept.append(0)
+            first.append(0)
+            last.append(0)
+        else:
+            shift = den if a >= half else 0
+            kept.append(b - a)
+            first.append(index[2 * a - shift])
+            last.append(index[2 * b - shift])
+    return _Partition(den, kept, np.array(first), np.array(last))
+
+
+def area_series(opening: OpeningSpec, t_max: int) -> SurvivalSeries:
+    """Survivor areas A(0..t_max) from the Markov partition, exactly.
+
+    With m_t(k) the mass of cell k that survives t steps, in units of
+    1/(den 2^t), m_0 is the kept length and m_t(k) is the sum of m_{t-1}
+    over the cells that doubling maps k onto: one prefix-sum pass per
+    step.
+    """
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
-    areas = []
-    for t, su in enumerate(survivor_sets(opening, max_intervals)):
-        areas.append(su.measure)
-        if t == t_max:
-            break
+    part = _markov_partition(opening)
+    # every mass and prefix sum is at most den * 2^t
+    dtype = np.int64 if part.den << t_max < 2**63 else object
+    mass = np.array(part.kept, dtype=dtype)
+    areas = [Fraction(int(mass.sum()), part.den)]
+    for t in range(1, t_max + 1):
+        csum = np.concatenate((np.zeros(1, dtype=dtype), np.cumsum(mass)))
+        mass = csum[part.last] - csum[part.first]
+        areas.append(Fraction(int(mass.sum()), part.den << t))
     return SurvivalSeries(opening=opening, areas=tuple(areas))
+
+
+def _components(first: list[int], last: list[int]) -> list[list[int]]:
+    """Strongly connected components of the graph k -> first[k] .. last[k] - 1.
+
+    Tarjan's algorithm with an explicit stack, so partitions near
+    MAX_CELLS stay clear of the recursion limit.
+    """
+    n = len(first)
+    order, low, on_stack = [-1] * n, [0] * n, [False] * n
+    stack: list[int] = []
+    comps: list[list[int]] = []
+    count = 0
+    for root in range(n):
+        if order[root] >= 0:
+            continue
+        order[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [[root, first[root]]]  # node and its next successor
+        while work:
+            frame = work[-1]
+            v, w = frame
+            if w < last[v]:
+                frame[1] += 1
+                if order[w] < 0:
+                    order[w] = low[w] = count
+                    count += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append([w, first[w]])
+                elif on_stack[w]:
+                    low[v] = min(low[v], order[w])
+                continue
+            work.pop()
+            if work:
+                u = work[-1][0]
+                low[u] = min(low[u], low[v])
+            if low[v] == order[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp.append(w)
+                    if w == v:
+                        break
+                comps.append(comp)
+    return comps
+
+
+@dataclass(frozen=True)
+class ExactEscape:
+    """Escape rate and dimension from the cell transition matrix M.
+
+    A(t) decays like (rho / 2)^t for the spectral radius rho of M, so
+    gamma = ln 2 - ln rho and d_info = 1 + ln rho / ln 2, with no fit.
+    """
+
+    rho: float
+    gamma: float
+    d_info: float
+
+
+def exact_escape(opening: OpeningSpec) -> ExactEscape:
+    """Exact escape rate of the opening from its Markov partition.
+
+    rho is the largest spectral radius over the strongly connected
+    components of M.  A component in which every cell maps onto exactly
+    one cell of it is a cycle, a permutation block with rho = 1 exactly;
+    the rest go to a dense eigensolve.
+    """
+    if opening.delta_q == 0:
+        # Lebesgue measure is invariant: M maps the cell lengths to twice
+        # themselves, a positive eigenvector, so rho = 2
+        return ExactEscape(rho=2.0, gamma=0.0, d_info=2.0)
+    part = _markov_partition(opening)
+    first, last = part.first, part.last
+    rho = 0.0
+    for comp in _components(first.tolist(), last.tolist()):
+        c = np.array(sorted(comp))
+        block = (c >= first[c][:, None]) & (c < last[c][:, None])
+        out = block.sum(axis=1)
+        if (out == 1).all():
+            rho = max(rho, 1.0)
+        elif out.any():
+            rho = max(rho, float(np.abs(np.linalg.eigvals(block.astype(float))).max()))
+    if rho == 0:
+        raise ValueError(
+            f"no orbit avoids the hole of width {opening.delta_q} forever; "
+            "the escape rate is infinite"
+        )
+    log_rho = math.log(rho)
+    return ExactEscape(rho=rho, gamma=_LN2 - log_rho, d_info=1.0 + log_rho / _LN2)
 
 
 @dataclass(frozen=True)
@@ -302,16 +478,13 @@ def monte_carlo_area(
 
 
 def qc_sweep(
-    delta_q,
-    qc_values: Sequence,
-    t: int = 9,
-    max_intervals: int = DEFAULT_MAX_INTERVALS,
+    delta_q, qc_values: Sequence, t: int = 9
 ) -> list[tuple[Fraction, Fraction]]:
     """Survivor area at fixed t for each hole center in qc_values."""
     out = []
     for qc in qc_values:
         qc_f = as_fraction(qc)
-        series = area_series(OpeningSpec(qc_f, as_fraction(delta_q)), t, max_intervals)
+        series = area_series(OpeningSpec(qc_f, as_fraction(delta_q)), t)
         out.append((qc_f, series.areas[t]))
     return out
 

@@ -12,7 +12,14 @@ import pytest
 import openbaker
 from openbaker import csvio
 from openbaker.cache import SpectrumCache
-from openbaker.cli import MAX_GRID_POINTS, build_parser, main
+from openbaker.cli import (
+    MAX_GRID_POINTS,
+    MAX_RASTER_T,
+    MAX_RESOLUTION,
+    _validate,
+    build_parser,
+    main,
+)
 from openbaker.spectra import MAX_EIGEN_DIM
 
 
@@ -56,6 +63,7 @@ def test_classical_series_and_raster(tmp_path, capsys):
     )
     assert code == 0
     assert "gamma=" in out
+    assert "exact_gamma=0.16510 exact_d_info=1.76181" in out
     series = (tmp_path / "series_qc0.5_dq0.1.csv").read_text().splitlines()
     assert series[0] == "t,area"
     assert len(series) == 1 + 13
@@ -250,3 +258,55 @@ def test_parser_defaults_are_parsed():
     assert [str(dq) for dq in args.dq] == ["1/20", "1/10", "1/5"]
     args = build_parser().parse_args(["weyl", "--inject", "power-law"])
     assert args.n == []
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--step", "0"], "--step must be at least 1, got 0"),
+        (["--nmin", "16", "--nmax", "20", "--step", "-2"],
+         "--step must be at least 1, got -2"),
+        (["--nmin", "22", "--nmax", "20"], "--nmin 22 above --nmax 20: no dimensions"),
+        (["--tail-lo", "0.999"], "bin width 0.01 does not tile [0.999, 1.0]"),
+    ],
+)
+def test_width_bad_dimensions_or_bins_fail_before_solving(
+    tmp_path, capsys, monkeypatch, extra, message
+):
+    def no_solve(self, spec):
+        raise AssertionError(f"solved N={spec.dim} before rejecting the input")
+
+    monkeypatch.setattr(SpectrumCache, "get_or_compute", no_solve)
+    argv = ["stats", "width", "--out", str(tmp_path), "--dq", "0.1", "--qc", "0.5",
+            "--nmin", "16", "--nmax", "20"] + extra
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1].endswith(message)
+    assert not (tmp_path / "width_dq0.1.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--resolution", str(MAX_RESOLUTION + 1)],
+         f"--resolution {MAX_RESOLUTION + 1} is outside 1..{MAX_RESOLUTION}"),
+        (["--resolution", "0"], f"--resolution 0 is outside 1..{MAX_RESOLUTION}"),
+        (["--raster-t", str(MAX_RASTER_T + 1)],
+         f"raster time {MAX_RASTER_T + 1} is outside 0..{MAX_RASTER_T}"),
+        (["--t", str(MAX_RASTER_T + 1)],
+         f"raster time {MAX_RASTER_T + 1} is outside 0..{MAX_RASTER_T}"),
+    ],
+)
+def test_raster_bounds_are_usage_errors(capsys, extra, message):
+    # checked through _validate alone, so nothing is ever allocated
+    parser = build_parser()
+    args = parser.parse_args(["classical", "--raster-qc", "0.5"] + extra)
+    with pytest.raises(SystemExit) as exc:
+        _validate(args, parser)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.strip().endswith(message)
+    # without rasters the sweep time is not a raster time
+    args = parser.parse_args(["classical", "--t", str(MAX_RASTER_T + 1)])
+    _validate(args, parser)

@@ -1,5 +1,6 @@
 """Exact survivor sets, areas, fits and the sampling cross-check."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -8,10 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from openbaker.classical import OpeningSpec, PhasePoint, survival_time
 from openbaker.trapped import (
+    MAX_CELLS,
     IntervalUnion,
     ResolutionExhausted,
     area_series,
     escape_rate,
+    exact_escape,
     monte_carlo_area,
     qc_sweep,
     render_trapped_set,
@@ -152,8 +155,66 @@ def test_escape_rate_values():
 def test_resolution_guard():
     with pytest.raises(ResolutionExhausted) as err:
         survivor_set(OpeningSpec(0.3, 0.1), 40, max_intervals=200)
-    assert err.value.n_intervals > 200 or err.value.scale >= 2**62
+    assert err.value.size > 200 or err.value.scale >= 2**62
     assert "survivor recursion stopped" in str(err.value)
+
+
+def _recursion_areas(opening, t_max):
+    return [su.measure for _, su in zip(range(t_max + 1), survivor_sets(opening))]
+
+
+@settings(max_examples=30, deadline=None)
+@given(decimals, widths, st.integers(0, 20))
+def test_partition_areas_match_interval_recursion(qc, dq, t):
+    o = OpeningSpec(qc, dq)
+    assert list(area_series(o, t).areas) == _recursion_areas(o, t)
+
+
+@pytest.mark.parametrize("qc", [0.5, 0.3])
+def test_partition_areas_match_interval_recursion_at_t25(qc):
+    o = OpeningSpec(qc, 0.1)
+    assert list(area_series(o, 25).areas) == _recursion_areas(o, 25)
+
+
+def test_partition_areas_past_int64():
+    # den * 2^t passes 2^63 at t = 59 for den = 20, where masses go to
+    # Python ints; the late areas decay at the exact rate
+    o = OpeningSpec(0.3, 0.1)
+    long = area_series(o, 200).areas
+    assert long[:26] == area_series(o, 25).areas
+    late = math.log(long[199] / long[200])
+    assert abs(late - exact_escape(o).gamma) < 1e-9
+
+
+def test_partition_cell_cap():
+    # the edge 1/2 - 1/(2 * 5^9) has a doubling orbit of 1.5 million points
+    o = OpeningSpec(0.5, Fraction(1, 5**9))
+    with pytest.raises(ResolutionExhausted, match=f"more than {MAX_CELLS} cells") as err:
+        area_series(o, 9)
+    assert err.value.size == MAX_CELLS + 1
+    assert err.value.scale == 2 * 5**9
+    with pytest.raises(ResolutionExhausted):
+        exact_escape(o)
+
+
+@pytest.mark.parametrize(
+    "qc, dq, dim",
+    [(0.3, 0.1, 0.8691), (0.5, 0.1, 0.7618), (0.3, 0.05, 0.9311),
+     (0.5, 0.05, 0.9059), (0.3, 0.2, 0.5515)],
+)
+def test_exact_dimensions(qc, dq, dim):
+    assert abs(exact_escape(OpeningSpec(qc, dq)).d_info - 1 - dim) < 1e-4
+
+
+def test_exact_escape_special_values():
+    assert abs(exact_escape(OpeningSpec(0.5, 0.1)).gamma - 0.16510) < 5e-6
+    # S_t has 2 + 2t intervals: a cycle component, rho = 1 with no rounding
+    cycle = exact_escape(OpeningSpec(0.5, 0.2))
+    assert cycle.rho == 1 and cycle.d_info - 1 == 0
+    closed = exact_escape(OpeningSpec(0.3, 0))
+    assert closed.rho == 2 and closed.gamma == 0
+    with pytest.raises(ValueError, match="no orbit avoids the hole"):
+        exact_escape(OpeningSpec(0.5, 1))
 
 
 def test_monte_carlo_matches_exact():
