@@ -177,8 +177,9 @@ def test_partition_areas_match_interval_recursion_at_t25(qc):
 
 
 def test_partition_areas_past_int64():
-    # den * 2^t passes 2^63 at t = 59 for den = 20, where masses go to
-    # Python ints; the late areas decay at the exact rate
+    # den * 2^200 is far past int64, so this run keeps Python ints
+    # throughout; its head must match the int64 run, and its late areas
+    # decay at the exact rate
     o = OpeningSpec(0.3, 0.1)
     long = area_series(o, 200).areas
     assert long[:26] == area_series(o, 25).areas
