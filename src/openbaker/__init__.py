@@ -8,14 +8,7 @@ decay-rate rescaling and power-law counting of long-lived modes.
 
 __version__ = "0.1.0"
 
-from .classical import (
-    OpeningSpec,
-    PhasePoint,
-    baker_forward,
-    baker_inverse,
-    in_opening,
-    survival_time,
-)
+from .classical import OpeningSpec
 from .trapped import (
     EscapeRateFit,
     ExactEscape,
@@ -61,11 +54,6 @@ from .cache import CacheError, SpectrumCache
 
 __all__ = [
     "OpeningSpec",
-    "PhasePoint",
-    "baker_forward",
-    "baker_inverse",
-    "in_opening",
-    "survival_time",
     "EscapeRateFit",
     "ExactEscape",
     "IntervalUnion",

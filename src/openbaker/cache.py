@@ -18,7 +18,6 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .classical import OpeningSpec, as_fraction
 from .csvio import read_spectrum_csv, sha256_file, write_spectrum_csv
 from .propagator import PropagatorSpec, open_trace
 from .spectra import ResonanceSet, resonance_set
@@ -38,13 +37,12 @@ class CacheError(RuntimeError):
 def cache_key(spec: PropagatorSpec) -> str:
     """Stable hash of the parameters and the convention versions.
 
-    q_c and delta_q are canonicalized to exact rationals first, so 0.1,
-    "0.1" and Fraction(1, 10) address the same entry.
+    OpeningSpec holds q_c and delta_q as exact rationals, so 0.1, "0.1"
+    and Fraction(1, 10) address the same entry.
     """
-    qc = as_fraction(spec.opening.q_c)
-    dq = as_fraction(spec.opening.delta_q)
+    opening = spec.opening
     text = (
-        f"dim={spec.dim};qc={qc};dq={dq};"
+        f"dim={spec.dim};qc={opening.q_c};dq={opening.delta_q};"
         f"conv={CONVENTION_VERSION};solver={SOLVER_VERSION}"
     )
     return hashlib.sha256(text.encode("ascii")).hexdigest()
@@ -89,8 +87,8 @@ class SpectrumCache:
         _atomic_write(payload, lambda tmp: write_spectrum_csv(tmp, rs.values))
         manifest = {
             "dim": spec.dim,
-            "q_c": str(as_fraction(spec.opening.q_c)),
-            "delta_q": str(as_fraction(spec.opening.delta_q)),
+            "q_c": str(spec.opening.q_c),
+            "delta_q": str(spec.opening.delta_q),
             "convention_version": CONVENTION_VERSION,
             "solver_version": SOLVER_VERSION,
             "sha256": sha256_file(payload),

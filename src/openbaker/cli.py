@@ -11,11 +11,13 @@ whatever consumes the CSVs.
 from __future__ import annotations
 
 import argparse
+import os
 import shutil
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from . import csvio
 from .cache import CacheError, SpectrumCache
@@ -55,6 +57,10 @@ MAX_GRID_POINTS = 100_000
 # while the interval recursion behind rasters grows like 2^t
 MAX_RESOLUTION = 2048
 MAX_RASTER_T = 20
+# cap on the sweep --t and the series --tmax: the partition recursion is
+# O(cells) per step, but its integers grow by a bit per step; at t = 1000
+# a 510-cell series takes about 0.1 s and a 101-point sweep about 2 s
+MAX_T = 1000
 
 
 def _fractions(text: str) -> list[Fraction]:
@@ -74,6 +80,28 @@ def _jobs(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+class FitRange(NamedTuple):
+    """Escape-rate fit window; prints as t_lo:t_hi, the form manifests record."""
+
+    lo: int
+    hi: int
+
+    def __str__(self) -> str:
+        return f"{self.lo}:{self.hi}"
+
+
+def _fit_range(text: str) -> FitRange:
+    try:
+        lo, hi = (int(part) for part in text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected two integers t_lo:t_hi, got {text!r}"
+        ) from None
+    if not 0 <= lo < hi:
+        raise argparse.ArgumentTypeError(f"need 0 <= t_lo < t_hi, got {text!r}")
+    return FitRange(lo, hi)
 
 
 def _grid(text: str) -> list[Fraction]:
@@ -121,9 +149,10 @@ def _solve_many(specs, cache: SpectrumCache, jobs: int) -> dict:
     dict, keeping emission order deterministic regardless of jobs.
     """
     specs = list(dict.fromkeys(specs))  # one solve and one store per spec
-    if jobs <= 1 or len(specs) <= 1:
+    workers = min(jobs, os.cpu_count() or 1, len(specs))
+    if workers <= 1:
         return {spec: cache.get_or_compute(spec)[0] for spec in specs}
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return dict(zip(specs, pool.map(lambda s: cache.get_or_compute(s)[0], specs)))
 
 
@@ -135,14 +164,13 @@ def cmd_classical(args, out: Path, cache: SpectrumCache) -> None:
         path = out / f"sweep_dq{_num(dq)}_t{args.t}.csv"
         csvio.write_sweep_csv(path, dq, args.t, rows)
         _emit(path, args)
-    fit_lo, fit_hi = (int(x) for x in args.fit_range.split(":"))
     for qc in args.series_qc:
         for dq in dqs:
             series = area_series(OpeningSpec(qc, dq), args.tmax)
             path = out / f"series_qc{_num(qc)}_dq{_num(dq)}.csv"
             csvio.write_series_csv(path, series)
             _emit(path, args)
-            fit = escape_rate(series, (fit_lo, fit_hi))
+            fit = escape_rate(series, args.fit_range)
             exact = exact_escape(series.opening)
             print(
                 f"qc={_num(qc)} dq={_num(dq)}: gamma={fit.gamma:.5f} "
@@ -305,11 +333,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of opening widths")
     c.add_argument("--grid", type=_grid, default=_grid("0:0.5:0.005"),
                    help="q_c grid start:stop:step")
-    c.add_argument("--t", type=int, default=9, help="sweep time step")
+    c.add_argument("--t", type=int, default=9, help=f"sweep time step, 0..{MAX_T}")
     c.add_argument("--series-qc", type=_fractions, default=_fractions(""),
                    help="emit area series for these centers")
-    c.add_argument("--tmax", type=int, default=25, help="series length")
-    c.add_argument("--fit-range", default="5:25", help="escape-rate fit window")
+    c.add_argument("--tmax", type=int, default=25, help=f"series length, 0..{MAX_T}")
+    c.add_argument("--fit-range", type=_fit_range, default=FitRange(*DEFAULT_FIT_RANGE),
+                   help="escape-rate fit window t_lo:t_hi inside 0..--tmax")
     c.add_argument("--raster-qc", type=_fractions, default=_fractions(""),
                    help="emit trapped-set rasters for these centers")
     c.add_argument("--raster-mode", choices=("initial", "image", "both"),
@@ -358,13 +387,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _validate(args, parser: argparse.ArgumentParser) -> None:
     """Reject bad inputs with exit status 2 before anything is built."""
-    if args.command == "classical" and args.raster_qc:
+    if args.command == "classical":
+        for flag, value in (("--t", args.t), ("--tmax", args.tmax)):
+            if not 0 <= value <= MAX_T:
+                parser.error(f"{flag} {value} is outside 0..{MAX_T}")
+        if args.fit_range.hi > args.tmax:
+            parser.error(f"--fit-range {args.fit_range} ends past --tmax {args.tmax}")
         raster_t = args.t if args.raster_t is None else args.raster_t
-        if not 1 <= args.resolution <= MAX_RESOLUTION:
+        if args.raster_qc and not 1 <= args.resolution <= MAX_RESOLUTION:
             parser.error(
                 f"--resolution {args.resolution} is outside 1..{MAX_RESOLUTION}"
             )
-        if not 0 <= raster_t <= MAX_RASTER_T:
+        if args.raster_qc and not 0 <= raster_t <= MAX_RASTER_T:
             parser.error(f"raster time {raster_t} is outside 0..{MAX_RASTER_T}")
     if args.command == "stats":
         needs_n = args.mode in ("cumulative", "histogram", "rescaled")

@@ -41,6 +41,10 @@ DEFAULT_MAX_INTERVALS = 10**8
 MAX_CELLS = 4096
 
 _LN2 = math.log(2.0)
+# rng.random draws doubles k / 2^53; Monte Carlo chunks of 2^16 samples
+# (512 KiB of uint64) stay in L2 and were the fastest size measured
+_MC_SCALE = 2**53
+_MC_CHUNK = 2**16
 # int64 headroom: endpoints live in [0, 2*scale] during a doubling step
 _MAX_SCALE = 2**62
 
@@ -437,42 +441,39 @@ def escape_rate(
 
 
 def monte_carlo_area(
-    opening: OpeningSpec,
-    t: int,
-    n_samples: int,
-    seed: int = 0,
-    chunk_size: int = 2**22,
+    opening: OpeningSpec, t: int, n_samples: int, seed: int = 0
 ) -> tuple[float, float]:
     """Survivor-area estimate and its standard error from uniform samples.
 
-    Doubling a double is exact (a pure exponent shift), so the only
-    approximation relative to the interval recursion is the sample noise
-    plus a measure-zero edge effect from rounding the hole edges.
+    Every uniform double from ``rng.random`` is k / 2^53 for an integer k,
+    so the orbits run on those integers: doubling mod 1 is a left shift
+    of k mod 2^53, and the hole [lo, hi) is the modular window of the k
+    with (k - ceil(lo 2^53)) mod 2^53 < ceil(hi 2^53) - ceil(lo 2^53).  That
+    one test is exact for wrapping holes, delta_q = 0 (an empty window)
+    and delta_q = 1 (all of them), so the only approximation relative to
+    the exact areas is the sample noise.  Samples are drawn in chunks of
+    _MC_CHUNK from one stream, so memory stays fixed in n_samples and the
+    result does not depend on the chunk size.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")
     lo, hi = opening.edges()
-    wraps = hi > 1
-    lo_f = float(lo)
-    hi_f = float(hi - 1 if wraps else hi)
+    low = math.ceil(lo * _MC_SCALE)
+    window = np.uint64(math.ceil(hi * _MC_SCALE) - low)
+    low, mask = np.uint64(low), np.uint64(_MC_SCALE - 1)
     rng = np.random.default_rng(seed)
     survivors = 0
-    remaining = n_samples
-    while remaining > 0:
-        m = min(chunk_size, remaining)
-        remaining -= m
-        q = rng.random(m)
+    for start in range(0, n_samples, _MC_CHUNK):
+        m = min(_MC_CHUNK, n_samples - start)
+        k = (rng.random(m) * _MC_SCALE).astype(np.uint64)
         for _ in range(t + 1):
-            if wraps:
-                inside = (q >= lo_f) | (q < hi_f)
-            else:
-                inside = (q >= lo_f) & (q < hi_f)
-            q = q[~inside]
-            q *= 2.0
-            q[q >= 1.0] -= 1.0
-        survivors += q.size
+            k = k[((k - low) & mask) >= window]
+            # the window test reads k mod 2^53 only, and uint64 wraps mod
+            # 2^64, a multiple of 2^53, so doubling needs no mask of its own
+            k <<= np.uint64(1)
+        survivors += k.size
     p = survivors / n_samples
     return p, math.sqrt(p * (1.0 - p) / n_samples)
 
@@ -483,9 +484,8 @@ def qc_sweep(
     """Survivor area at fixed t for each hole center in qc_values."""
     out = []
     for qc in qc_values:
-        qc_f = as_fraction(qc)
-        series = area_series(OpeningSpec(qc_f, as_fraction(delta_q)), t)
-        out.append((qc_f, series.areas[t]))
+        opening = OpeningSpec(qc, delta_q)
+        out.append((opening.q_c, area_series(opening, t).areas[t]))
     return out
 
 

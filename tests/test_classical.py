@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from openbaker.classical import (
-    OpeningSpec,
+from openbaker.classical import OpeningSpec, as_fraction, baker_inverse_array
+from oracles import (
     PhasePoint,
-    as_fraction,
     baker_forward,
     baker_inverse,
-    baker_inverse_array,
+    contains_q,
     in_opening,
     survival_time,
 )
@@ -94,6 +93,16 @@ def test_opening_validation():
     OpeningSpec(0.0, 1.0)
 
 
+def test_opening_stores_exact_fractions():
+    openings = [OpeningSpec(q, d) for q, d in
+                [("0.5", "0.1"), (0.5, 0.1), (Fraction(1, 2), Fraction(1, 10))]]
+    assert len(set(openings)) == 1
+    assert len({hash(o) for o in openings}) == 1
+    for o in openings:
+        assert type(o.q_c) is Fraction and type(o.delta_q) is Fraction
+    assert OpeningSpec(0.3, "0").delta_q == 0
+
+
 def test_as_fraction_reads_decimals():
     assert as_fraction(0.1) == Fraction(1, 10)
     assert as_fraction("0.25") == Fraction(1, 4)
@@ -113,13 +122,13 @@ def test_in_opening_membership():
     assert in_opening(PhasePoint(0.5, 0.2), o)
     assert not in_opening(PhasePoint(0.44, 0.2), o)
     # half-open: the left edge is in, the right edge is out
-    assert o.contains_q(Fraction(9, 20))
-    assert not o.contains_q(Fraction(11, 20))
+    assert contains_q(o, Fraction(9, 20))
+    assert not contains_q(o, Fraction(11, 20))
     wrap = OpeningSpec(0.0, 0.1)
-    assert wrap.contains_q(0.97)
-    assert wrap.contains_q(0.0)
-    assert not wrap.contains_q(0.05)
-    assert not wrap.contains_q(0.5)
+    assert contains_q(wrap, 0.97)
+    assert contains_q(wrap, 0.0)
+    assert not contains_q(wrap, 0.05)
+    assert not contains_q(wrap, 0.5)
 
 
 def test_survival_time_examples():

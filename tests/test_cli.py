@@ -10,12 +10,13 @@ from pathlib import Path
 import pytest
 
 import openbaker
-from openbaker import csvio
+from openbaker import cli, csvio
 from openbaker.cache import SpectrumCache
 from openbaker.cli import (
     MAX_GRID_POINTS,
     MAX_RASTER_T,
     MAX_RESOLUTION,
+    MAX_T,
     _validate,
     build_parser,
     main,
@@ -141,6 +142,41 @@ def test_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs):
     assert last.endswith(f"argument --jobs: must be at least 1, got {jobs}")
 
 
+def test_solve_many_caps_workers(monkeypatch):
+    # a recording stand-in for the pool, so no real thread is started
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    class FakeCache:
+        def get_or_compute(self, spec):
+            return 10 * spec, False
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+    specs = [1, 2, 3, 4, 5]
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert cli._solve_many(specs, FakeCache(), 64) == {s: 10 * s for s in specs}
+    assert started == [2]
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert cli._solve_many([1, 2, 2, 1], FakeCache(), 5) == {1: 10, 2: 20}
+    assert started == [2, 2]
+    # an unknown core count runs serially, without a pool
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._solve_many(specs, FakeCache(), 4) == {s: 10 * s for s in specs}
+    assert started == [2, 2]
+
+
 def test_cli_import_leaves_scipy_out():
     src = str(Path(openbaker.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -256,6 +292,7 @@ def test_parser_defaults_are_parsed():
     assert len(args.grid) == 101
     assert not hasattr(args, "seed")
     assert [str(dq) for dq in args.dq] == ["1/20", "1/10", "1/5"]
+    assert args.fit_range == (5, 25) and str(args.fit_range) == "5:25"
     args = build_parser().parse_args(["weyl", "--inject", "power-law"])
     assert args.n == []
 
@@ -310,3 +347,29 @@ def test_raster_bounds_are_usage_errors(capsys, extra, message):
     # without rasters the sweep time is not a raster time
     args = parser.parse_args(["classical", "--t", str(MAX_RASTER_T + 1)])
     _validate(args, parser)
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--fit-range", "5:30"], "--fit-range 5:30 ends past --tmax 25"),
+        (["--tmax", "12"], "--fit-range 5:25 ends past --tmax 12"),
+        (["--fit-range", "5"],
+         "argument --fit-range: expected two integers t_lo:t_hi, got '5'"),
+        (["--fit-range", "9:5"], "argument --fit-range: need 0 <= t_lo < t_hi, got '9:5'"),
+        (["--tmax", "-1"], f"--tmax -1 is outside 0..{MAX_T}"),
+        (["--tmax", str(MAX_T + 1)], f"--tmax {MAX_T + 1} is outside 0..{MAX_T}"),
+        (["--t", "-1"], f"--t -1 is outside 0..{MAX_T}"),
+        (["--t", str(MAX_T + 1)], f"--t {MAX_T + 1} is outside 0..{MAX_T}"),
+    ],
+)
+def test_classical_bad_times_fail_before_writing(tmp_path, capsys, extra, message):
+    out = tmp_path / "out"
+    argv = ["classical", "--out", str(out), "--dq", "0.1", "--grid", "0.5:0.5:1",
+            "--series-qc", "0.5"] + extra
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1].endswith(message)
+    assert not out.exists()

@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from openbaker.classical import OpeningSpec, PhasePoint, survival_time
+from openbaker import trapped
+from openbaker.classical import OpeningSpec
 from openbaker.trapped import (
     MAX_CELLS,
     IntervalUnion,
@@ -21,6 +22,7 @@ from openbaker.trapped import (
     survivor_set,
     survivor_sets,
 )
+from oracles import PhasePoint, monte_carlo_area_float, survival_time
 
 # openings drawn from short decimals keep denominators small and exact
 decimals = st.integers(0, 999).map(lambda k: Fraction(k, 1000))
@@ -212,8 +214,9 @@ def test_exact_escape_special_values():
     # S_t has 2 + 2t intervals: a cycle component, rho = 1 with no rounding
     cycle = exact_escape(OpeningSpec(0.5, 0.2))
     assert cycle.rho == 1 and cycle.d_info - 1 == 0
-    closed = exact_escape(OpeningSpec(0.3, 0))
-    assert closed.rho == 2 and closed.gamma == 0
+    for dq in (0, "0", 0.0):
+        closed = exact_escape(OpeningSpec(0.3, dq))
+        assert closed.rho == 2 and closed.gamma == 0
     with pytest.raises(ValueError, match="no orbit avoids the hole"):
         exact_escape(OpeningSpec(0.5, 1))
 
@@ -235,6 +238,31 @@ def test_monte_carlo_validation():
         monte_carlo_area(OpeningSpec(0.5, 0.1), -1, 10)
     with pytest.raises(ValueError):
         monte_carlo_area(OpeningSpec(0.5, 0.1), 1, 0)
+
+
+@given(decimals, st.integers(0, 1000).map(lambda k: Fraction(k, 1000)), st.integers(0, 13))
+@example(Fraction(0), Fraction(1, 10), 5)  # hole wraps through q = 0
+@example(Fraction(99, 100), Fraction(3, 10), 4)
+def test_monte_carlo_integer_orbits_match_float_orbits(qc, dq, t):
+    o = OpeningSpec(qc, dq)
+    assert monte_carlo_area(o, t, 5003, seed=3) == monte_carlo_area_float(o, t, 5003, seed=3)
+
+
+def test_monte_carlo_extreme_and_dyadic_holes():
+    assert monte_carlo_area(OpeningSpec(0.3, 0), 7, 1000) == (1.0, 0.0)
+    assert monte_carlo_area(OpeningSpec(0.3, 1), 0, 1000) == (0.0, 0.0)
+    assert monte_carlo_area(OpeningSpec(0, 1), 3, 1000) == (0.0, 0.0)
+    # edges 1/4 and 3/4 are doubles and multiples of 2^-53, no rounding at all
+    o = OpeningSpec(0.5, 0.5)
+    assert monte_carlo_area(o, 3, 10**4, seed=5) == monte_carlo_area_float(o, 3, 10**4, seed=5)
+
+
+def test_monte_carlo_chunk_size_invariance(monkeypatch):
+    o = OpeningSpec(0.31, 0.1)
+    whole = monte_carlo_area(o, 6, 100_003, seed=9)
+    assert whole == monte_carlo_area_float(o, 6, 100_003, seed=9)
+    monkeypatch.setattr(trapped, "_MC_CHUNK", 2**10)
+    assert monte_carlo_area(o, 6, 100_003, seed=9) == whole
 
 
 def test_qc_sweep_grid():
