@@ -23,7 +23,7 @@ from . import csvio
 from .cache import CacheError, SpectrumCache
 from .classical import OpeningSpec, as_fraction
 from .propagator import PropagatorSpec
-from .spectra import MAX_EIGEN_DIM, EigensolverError
+from .spectra import MAX_EIGEN_DIM, EigensolverError, split_blas_threads
 from .stats import (
     DEFAULT_BIN_WIDTH,
     DEFAULT_NU_CUT,
@@ -144,15 +144,20 @@ def _emit(path: Path, args: argparse.Namespace) -> None:
 def _solve_many(specs, cache: SpectrumCache, jobs: int) -> dict:
     """Fill the cache for every spec, optionally with worker threads.
 
-    The eigensolver releases the interpreter lock inside LAPACK, so
-    threads scale on independent dimensions.  Results come back in a
-    dict, keeping emission order deterministic regardless of jobs.
+    Workers overlap only inside LAPACK, and numpy's eigvals releases the
+    interpreter lock only for a matrix larger than 500 x 500, so threads
+    scale on full solves above N = 500 and on parity-split solves (two
+    calls on blocks of N/2) above N = 1000; below that they take turns.
+    While the pool runs, the BLAS threads are split among the workers
+    (split_blas_threads), so K workers do not each start the full count
+    on the same cores.  Results come back in a dict, keeping emission
+    order deterministic regardless of jobs.
     """
     specs = list(dict.fromkeys(specs))  # one solve and one store per spec
     workers = min(jobs, os.cpu_count() or 1, len(specs))
     if workers <= 1:
         return {spec: cache.get_or_compute(spec)[0] for spec in specs}
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with split_blas_threads(workers), ThreadPoolExecutor(max_workers=workers) as pool:
         return dict(zip(specs, pool.map(lambda s: cache.get_or_compute(s)[0], specs)))
 
 
@@ -424,6 +429,14 @@ def _validate(args, parser: argparse.ArgumentParser) -> None:
     if args.command == "weyl" and args.inject is None:
         if args.qc is None or args.dq is None:
             parser.error("weyl requires --qc and --dq unless --inject is used")
+        # weyl_fit's own rules, checked here so no spectrum is solved in vain
+        if args.n and len(args.n) < 4:
+            parser.error(f"--n needs at least 4 dimensions for the fit, got {len(args.n)}")
+        if args.n and max(args.n) < 4 * min(args.n):
+            parser.error(
+                f"--n must span at least a factor 4 in dimension, got "
+                f"{min(args.n)}..{max(args.n)}"
+            )
 
 
 def main(argv=None) -> int:

@@ -9,6 +9,9 @@ machinery.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -18,6 +21,15 @@ from .propagator import PropagatorSpec, open_propagator
 
 MAX_EIGEN_DIM = 4096
 ORACLE_MAX_DIM = 8
+
+# OpenBLAS's (get, set) thread-count exports, most specific first: numpy's
+# wheels rename them with a scipy_ prefix and a 64_ suffix, which also
+# keeps scipy's own 32-bit copy (scipy_..._threads, no suffix) out
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
 
 
 class EigensolverError(RuntimeError):
@@ -41,6 +53,58 @@ def eigenvalues(m: np.ndarray, max_dim: int = MAX_EIGEN_DIM) -> np.ndarray:
         raise EigensolverError(
             f"eigenvalue iteration failed on a {m.shape[0]}x{m.shape[0]} matrix: {exc}"
         ) from exc
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS numpy loaded, or None.
+
+    The library is found among the files mapped into the process, so on
+    systems without /proc, and with other BLAS vendors, this is None.
+    """
+    try:
+        with open("/proc/self/maps", encoding="ascii", errors="replace") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    handles = []
+    for path in paths:
+        try:
+            handles.append(ctypes.CDLL(path))
+        except OSError:
+            continue
+    for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+        for handle in handles:
+            get, put = getattr(handle, get_name, None), getattr(handle, set_name, None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextmanager
+def split_blas_threads(workers: int):
+    """Share the BLAS threads among `workers` concurrent solves.
+
+    Inside the block every solve runs on max(1, t // workers) threads,
+    where t is the count on entry, so the workers together start about as
+    many threads as one solve did; t is restored on exit, also after an
+    exception.  The count is process-wide and starts from the user's
+    OPENBLAS_NUM_THREADS and CPU affinity.  With a BLAS other than
+    OpenBLAS this does nothing.
+    """
+    api = _openblas_threads()
+    if api is None:
+        yield
+        return
+    get, put = api
+    total = get()
+    put(max(1, total // workers))
+    try:
+        yield
+    finally:
+        put(total)
 
 
 def sort_spectrum(w: np.ndarray) -> np.ndarray:

@@ -7,11 +7,14 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 import openbaker
-from openbaker import cli, csvio
+from openbaker import cli, csvio, spectra
 from openbaker.cache import SpectrumCache
+from openbaker.classical import OpeningSpec
 from openbaker.cli import (
     MAX_GRID_POINTS,
     MAX_RASTER_T,
@@ -21,7 +24,8 @@ from openbaker.cli import (
     build_parser,
     main,
 )
-from openbaker.spectra import MAX_EIGEN_DIM
+from openbaker.propagator import PropagatorSpec
+from openbaker.spectra import MAX_EIGEN_DIM, EigensolverError
 
 
 def run(argv, capsys):
@@ -142,6 +146,21 @@ def test_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs):
     assert last.endswith(f"argument --jobs: must be at least 1, got {jobs}")
 
 
+class FakeBlas:
+    """A (get, set) stand-in for OpenBLAS's thread count that logs each set."""
+
+    def __init__(self, threads):
+        self.threads = threads
+        self.sets = []
+
+    def get(self):
+        return self.threads
+
+    def set(self, n):
+        self.sets.append(n)
+        self.threads = n
+
+
 def test_solve_many_caps_workers(monkeypatch):
     # a recording stand-in for the pool, so no real thread is started
     started = []
@@ -159,22 +178,114 @@ def test_solve_many_caps_workers(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
+    blas = FakeBlas(5)
+    seen = []  # the BLAS thread count each solve ran with
+
     class FakeCache:
         def get_or_compute(self, spec):
+            seen.append(blas.threads)
             return 10 * spec, False
 
     monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(spectra, "_openblas_threads", lambda: (blas.get, blas.set))
     specs = [1, 2, 3, 4, 5]
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     assert cli._solve_many(specs, FakeCache(), 64) == {s: 10 * s for s in specs}
     assert started == [2]
+    # the two workers share the 5 threads, 2 each, and the 5 come back after
+    assert blas.sets == [2, 5] and seen == [2] * 5 and blas.threads == 5
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     assert cli._solve_many([1, 2, 2, 1], FakeCache(), 5) == {1: 10, 2: 20}
     assert started == [2, 2]
-    # an unknown core count runs serially, without a pool
+    assert blas.sets == [2, 5, 2, 5]
+    # an unknown core count, --jobs 1 and a single distinct spec run
+    # serially, without a pool and on the full thread count
+    seen.clear()
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert cli._solve_many(specs, FakeCache(), 4) == {s: 10 * s for s in specs}
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert cli._solve_many(specs, FakeCache(), 1) == {s: 10 * s for s in specs}
+    assert cli._solve_many([3, 3], FakeCache(), 4) == {3: 30}
     assert started == [2, 2]
+    assert blas.sets == [2, 5, 2, 5] and seen == [5] * 11
+    # one thread cannot be split further
+    blas.threads = 1
+    cli._solve_many(specs, FakeCache(), 8)
+    assert blas.sets[-2:] == [1, 1]
+    # without a known BLAS the pool runs on whatever the BLAS does itself
+    monkeypatch.setattr(spectra, "_openblas_threads", lambda: None)
+    assert cli._solve_many(specs, FakeCache(), 8) == {s: 10 * s for s in specs}
+    assert started[-1] == 5 and len(blas.sets) == 6
+
+
+def test_solve_many_restores_blas_threads_when_a_solve_raises(monkeypatch):
+    blas = FakeBlas(4)
+
+    class FailingCache:
+        def get_or_compute(self, spec):
+            if spec == 2:
+                raise EigensolverError("QR iteration did not converge")
+            return spec, False
+
+    monkeypatch.setattr(spectra, "_openblas_threads", lambda: (blas.get, blas.set))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    with pytest.raises(EigensolverError):
+        cli._solve_many([1, 2, 3], FailingCache(), 2)
+    assert blas.sets == [2, 4] and blas.threads == 4
+
+
+def test_solve_many_restores_the_real_blas_thread_count(tmp_path, monkeypatch):
+    api = spectra._openblas_threads()
+    if api is None:
+        pytest.skip("numpy's BLAS exports no OpenBLAS thread-count symbol")
+    get, _ = api
+    before = get()
+    seen = []
+    compute = SpectrumCache.get_or_compute
+
+    def recording(self, spec):
+        seen.append(get())
+        return compute(self, spec)
+
+    monkeypatch.setattr(SpectrumCache, "get_or_compute", recording)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool even on one core
+    specs = [PropagatorSpec(dim, OpeningSpec("0.3", "0.2")) for dim in (16, 18)]
+    solved = cli._solve_many(specs, SpectrumCache(tmp_path), jobs=2)
+    assert list(solved) == specs
+    assert seen == [max(1, before // 2)] * 2
+    assert get() == before
+
+
+def matched_gap(a, b, floor) -> float:
+    """Largest gap when every mode of a above floor gets its own mode of b."""
+    a = a[np.abs(a) > floor]
+    cost = np.abs(a[:, None] - b[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].max())
+
+
+def test_concurrent_solves_match_serial_ones(tmp_path, capsys, monkeypatch):
+    # above N = 500 numpy's eigvals drops the interpreter lock, so the two
+    # workers really solve at the same time, each on its share of the BLAS
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    caches = {}
+    for jobs in ("2", "1"):
+        cache = tmp_path / f"cache{jobs}"
+        code, out, err = run(
+            ["spectrum", "--out", str(tmp_path / f"out{jobs}"), "--cache", str(cache),
+             "--n", "502,504,506", "--qc", "0.3", "--dq", "0.2", "--jobs", jobs],
+            capsys,
+        )
+        assert code == 0, err
+        caches[jobs] = SpectrumCache(cache)
+    names = {jobs: sorted(p.name for p in c.root.iterdir()) for jobs, c in caches.items()}
+    assert names["2"] == names["1"] and len(names["1"]) == 6
+    for dim in (502, 504, 506):
+        spec = PropagatorSpec(dim, OpeningSpec("0.3", "0.2"))
+        # load re-checks the manifest checksum and the trace identity
+        pooled, serial = caches["2"].load(spec).values, caches["1"].load(spec).values
+        assert matched_gap(pooled, serial, 0.1) <= 1e-10
+        assert matched_gap(serial, pooled, 0.1) <= 1e-10
 
 
 def test_cli_import_leaves_scipy_out():
@@ -245,6 +356,19 @@ def test_weyl_degenerate_counts_fail_cleanly(tmp_path, capsys):
     )
     assert code == 2
     assert "error:" in err and "positive" in err
+
+
+@pytest.mark.parametrize("dims, message", [
+    ("64,90,128", "--n needs at least 4 dimensions for the fit, got 3"),
+    ("64,90,128,180", "--n must span at least a factor 4 in dimension, got 64..180"),
+])
+def test_weyl_rejects_unfittable_dimensions_before_solving(tmp_path, capsys, dims, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["weyl", "--out", str(tmp_path / "out"), "--qc", "0.5", "--dq", "0.1",
+              "--n", dims])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.strip().splitlines()[-1].endswith(message)
+    assert list(tmp_path.iterdir()) == []  # no output directory, no cache entry
 
 
 def test_weyl_small_fit_runs(tmp_path, capsys):
