@@ -12,7 +12,6 @@ from .classical import OpeningSpec
 from .trapped import (
     EscapeRateFit,
     ExactEscape,
-    IntervalUnion,
     ResolutionExhausted,
     SurvivalSeries,
     area_series,
@@ -21,18 +20,15 @@ from .trapped import (
     monte_carlo_area,
     qc_sweep,
     render_trapped_set,
-    survivor_set,
 )
 from .propagator import (
     PropagatorSpec,
     baker_propagator,
-    gn_matrix,
     open_propagator,
 )
 from .spectra import (
     EigensolverError,
     ResonanceSet,
-    brute_force_spectrum_oracle,
     eigenvalues,
     resonance_set,
 )
@@ -56,7 +52,6 @@ __all__ = [
     "OpeningSpec",
     "EscapeRateFit",
     "ExactEscape",
-    "IntervalUnion",
     "ResolutionExhausted",
     "SurvivalSeries",
     "area_series",
@@ -65,14 +60,11 @@ __all__ = [
     "monte_carlo_area",
     "qc_sweep",
     "render_trapped_set",
-    "survivor_set",
     "PropagatorSpec",
     "baker_propagator",
-    "gn_matrix",
     "open_propagator",
     "EigensolverError",
     "ResonanceSet",
-    "brute_force_spectrum_oracle",
     "eigenvalues",
     "resonance_set",
     "ModulusHistogram",

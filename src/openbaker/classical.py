@@ -57,13 +57,3 @@ class OpeningSpec:
         """
         lo = (self.q_c - self.delta_q / 2) % 1
         return lo, lo + self.delta_q
-
-
-def baker_inverse_array(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Backward step on parallel coordinate arrays."""
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-    low = p < 0.5
-    qn = np.where(low, 0.5 * q, 0.5 * (q + 1.0))
-    pn = np.where(low, 2.0 * p, 2.0 * p - 1.0)
-    return qn, pn

@@ -11,6 +11,7 @@ whatever consumes the CSVs.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import shutil
 import sys
@@ -52,9 +53,9 @@ DQ_PRESETS = ("0.05", "0.1", "0.2")
 WEYL_DIM_PRESETS = (128, 180, 256, 362, 512, 724, 1024)
 WIDTH_DIM_RANGE = (500, 2000)
 MAX_GRID_POINTS = 100_000
-# a raster holds resolution^2 cells, and image mode float arrays of that
-# size; past t = 20 the survivor strips are far below a pixel at this cap,
-# while the interval recursion behind rasters grows like 2^t
+# a raster holds resolution^2 cells, and image mode int64 arrays of that
+# size, each pixel costing t + 1 integer window tests; past t = 20 the
+# survivor strips are far below a pixel at this cap
 MAX_RESOLUTION = 2048
 MAX_RASTER_T = 20
 # cap on the sweep --t and the series --tmax: the partition recursion is
@@ -392,6 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _validate(args, parser: argparse.ArgumentParser) -> None:
     """Reject bad inputs with exit status 2 before anything is built."""
+    dims = getattr(args, "n", None)
+    if dims and max(dims) > MAX_EIGEN_DIM:
+        parser.error(f"--n {max(dims)} exceeds the solver cap {MAX_EIGEN_DIM}")
     if args.command == "classical":
         for flag, value in (("--t", args.t), ("--tmax", args.tmax)):
             if not 0 <= value <= MAX_T:
@@ -420,6 +424,9 @@ def _validate(args, parser: argparse.ArgumentParser) -> None:
                 parser.error(f"--step must be at least 1, got {args.step}")
             if args.nmin > args.nmax:
                 parser.error(f"--nmin {args.nmin} above --nmax {args.nmax}: no dimensions")
+        if args.mode == "rescaled" and args.gamma_cl is not None:
+            if not 0 < args.gamma_cl < math.inf:
+                parser.error(f"--gamma-cl must be finite and positive, got {args.gamma_cl}")
         if args.mode != "cumulative":
             lo, hi = args.range if args.mode == "histogram" else (args.tail_lo, 1.0)
             try:
@@ -429,6 +436,8 @@ def _validate(args, parser: argparse.ArgumentParser) -> None:
     if args.command == "weyl" and args.inject is None:
         if args.qc is None or args.dq is None:
             parser.error("weyl requires --qc and --dq unless --inject is used")
+        if not 0 <= args.nu_cut < 1:
+            parser.error(f"--nu-cut must lie in [0, 1), got {args.nu_cut}")
         # weyl_fit's own rules, checked here so no spectrum is solved in vain
         if args.n and len(args.n) < 4:
             parser.error(f"--n needs at least 4 dimensions for the fit, got {len(args.n)}")

@@ -19,14 +19,6 @@ import numpy as np
 from .classical import OpeningSpec
 
 
-def gn_matrix(n: int) -> np.ndarray:
-    """Fourier kernel exp(-2 pi i (j+1/2)(k+1/2)/n) / sqrt(n)."""
-    if n <= 0:
-        raise ValueError(f"kernel dimension must be positive, got {n}")
-    j = np.arange(n) + 0.5
-    return np.exp(-2j * np.pi * np.outer(j, j) / n) / np.sqrt(n)
-
-
 def _check_dim(dim: int) -> None:
     if dim <= 0 or dim % 2:
         raise ValueError(f"quantization requires even dimension, got {dim}")

@@ -1,10 +1,9 @@
 """Resonance spectra of the opened propagator.
 
 The workhorse is LAPACK's dense nonsymmetric solver (Hessenberg reduction
-plus implicitly shifted QR) through numpy.  A from-scratch
-characteristic-polynomial oracle covers tiny dimensions so the main
-solver can be cross-checked against arithmetic that shares none of its
-machinery.
+plus implicitly shifted QR) through numpy.  The tests hold it to a
+from-scratch characteristic-polynomial oracle at tiny dimensions, which
+shares none of its machinery.
 """
 
 from __future__ import annotations
@@ -14,13 +13,11 @@ import functools
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 
 from .propagator import PropagatorSpec, open_propagator
 
 MAX_EIGEN_DIM = 4096
-ORACLE_MAX_DIM = 8
 
 # OpenBLAS's (get, set) thread-count exports, most specific first: numpy's
 # wheels rename them with a scipy_ prefix and a 64_ suffix, which also
@@ -168,71 +165,3 @@ def resonance_set(spec: PropagatorSpec) -> ResonanceSet:
     w.setflags(write=False)
     return ResonanceSet(spec=spec, values=w)
 
-
-def _char_poly_coeffs(a, n: int):
-    """det(xI - A) coefficients in descending powers.
-
-    Uses c_k = (-1)^k (sum of k-by-k principal minors), with each minor
-    expanded by memoized Laplace cofactors.  Exponential in n, which is
-    the point: no Hessenberg form, no QR, nothing shared with LAPACK.
-    """
-    memo: dict[tuple[int, int], mp.mpc] = {}
-
-    def det(rmask: int, cmask: int) -> mp.mpc:
-        if rmask == 0:
-            return mp.mpc(1)
-        key = (rmask, cmask)
-        if key in memo:
-            return memo[key]
-        row = (rmask & -rmask).bit_length() - 1
-        acc = mp.mpc(0)
-        sign = 1
-        for j in range(n):
-            if not (cmask >> j) & 1:
-                continue
-            entry = a[row][j]
-            if entry != 0:
-                acc += sign * entry * det(rmask & ~(1 << row), cmask & ~(1 << j))
-            sign = -sign
-        memo[key] = acc
-        return acc
-
-    by_size: dict[int, list[int]] = {k: [] for k in range(n + 1)}
-    for s in range(1 << n):
-        by_size[s.bit_count()].append(s)
-    coeffs = [mp.mpc(1)]
-    for k in range(1, n + 1):
-        e_k = mp.mpc(0)
-        for s in by_size[k]:
-            e_k += det(s, s)
-        coeffs.append((-1) ** k * e_k)
-    return coeffs
-
-
-def brute_force_spectrum_oracle(
-    m: np.ndarray, dps: int = 40, max_dim: int = ORACLE_MAX_DIM
-) -> np.ndarray:
-    """Spectrum via the characteristic polynomial, for cross-checks only.
-
-    Trailing zero coefficients are deflated exactly (zeroed columns give
-    an exact monomial factor) before handing the rest to a Durand-Kerner
-    style root finder at elevated precision.
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    n = m.shape[0]
-    if n > max_dim:
-        raise ValueError(f"oracle is exponential in the dimension, {n} > {max_dim}")
-    with mp.workdps(dps):
-        a = [[mp.mpc(m[i, j]) for j in range(n)] for i in range(n)]
-        coeffs = _char_poly_coeffs(a, n)
-        n_zero = 0
-        while n_zero < n and coeffs[n - n_zero] == 0:
-            n_zero += 1
-        roots = [mp.mpc(0)] * n_zero
-        if n_zero < n:
-            roots += mp.polyroots(
-                coeffs[: n - n_zero + 1], maxsteps=500, extraprec=120
-            )
-    return sort_spectrum(np.array([complex(r) for r in roots]))

@@ -187,8 +187,8 @@ def rescaled_decay_histogram(
     divided by gamma_cl, so comparable openings can be overlaid on one
     axis.
     """
-    if gamma_cl <= 0:
-        raise ValueError("gamma_cl must be positive")
+    if not 0 < gamma_cl < math.inf:
+        raise ValueError(f"gamma_cl must be finite and positive, got {gamma_cl}")
     hist = tail_histogram(rs, bin_width, tail_lo)
     edges = hist.edges
     with np.errstate(divide="ignore"):

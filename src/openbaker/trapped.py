@@ -10,15 +10,10 @@ recursion, so the survivor areas A(t) come out as exact Fractions in
 O(cells) per step, and the escape rate is exact: gamma = ln 2 - ln rho
 for the spectral radius rho of the cell transition matrix.
 
-The t-step survivor set S_t itself is a finite union of half-open
-intervals whose endpoints are rationals with denominator den0 * 2^t, so
-the recursion
-
-    S_0 = complement of the hole,  S_{t+1} = S_0 intersect D^{-1}(S_t)
-
-runs on integer endpoints with no rounding at all.  Its interval count
-grows geometrically in t, up to 2^t, so it serves the rasters, and the
-tests use it as the definitional reference for the partition's areas.
+Rasters of the trapped set decide each pixel from the doubling orbit of
+its centre, an integer over a common denominator, tested against the
+hole as one modular window of those integers, the same test the Monte
+Carlo sampler runs on k / 2^53.  No pixel verdict is rounded.
 """
 
 from __future__ import annotations
@@ -26,14 +21,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .classical import OpeningSpec, as_fraction, baker_inverse_array
+from .classical import OpeningSpec
 
 DEFAULT_FIT_RANGE = (5, 25)
-DEFAULT_MAX_INTERVALS = 10**8
 # Partitions are refused above this many cells, during the orbit walk and
 # before anything else is built.  Hole edges with up to four decimals need
 # about a thousand cells at most, and exact_escape's dense eigensolve of a
@@ -45,167 +39,19 @@ _LN2 = math.log(2.0)
 # (512 KiB of uint64) stay in L2 and were the fastest size measured
 _MC_SCALE = 2**53
 _MC_CHUNK = 2**16
-# int64 headroom: endpoints live in [0, 2*scale] during a doubling step
-_MAX_SCALE = 2**62
 
 
 class ResolutionExhausted(RuntimeError):
-    """Raised when an exact computation would outgrow its fixed size limit.
+    """Raised when a Markov partition would outgrow MAX_CELLS.
 
-    ``size`` counts the intervals or cells at the limit and ``scale`` is
-    their common denominator.
+    ``size`` counts the cells at the limit and ``scale`` is their common
+    denominator.
     """
 
     def __init__(self, message: str, size: int, scale: int):
         self.size = size
         self.scale = scale
         super().__init__(message)
-
-
-class IntervalUnion:
-    """Disjoint sorted union of half-open subintervals of [0, 1).
-
-    Endpoints are integers over a common denominator ``den``, so measures
-    and membership tests are exact.
-    """
-
-    def __init__(self, starts, ends, den: int, validate: bool = True):
-        self.starts = np.asarray(starts, dtype=np.int64)
-        self.ends = np.asarray(ends, dtype=np.int64)
-        self.den = int(den)
-        if validate:
-            self._check()
-
-    def _check(self):
-        s, e = self.starts, self.ends
-        if s.shape != e.shape or s.ndim != 1:
-            raise ValueError("starts and ends must be matching 1-d arrays")
-        if self.den <= 0:
-            raise ValueError("denominator must be positive")
-        if s.size:
-            if not (s < e).all():
-                raise ValueError("empty or inverted interval")
-            if not (e[:-1] <= s[1:]).all():
-                raise ValueError("intervals must be sorted and disjoint")
-            if s[0] < 0 or e[-1] > self.den:
-                raise ValueError("intervals must lie inside [0, 1)")
-
-    def __len__(self) -> int:
-        return int(self.starts.size)
-
-    @property
-    def measure(self) -> Fraction:
-        # disjointness inside [0, den] bounds the sum by den, no overflow
-        return Fraction(int((self.ends - self.starts).sum()), self.den)
-
-    def as_fractions(self) -> list[tuple[Fraction, Fraction]]:
-        den = self.den
-        return [
-            (Fraction(int(a), den), Fraction(int(b), den))
-            for a, b in zip(self.starts, self.ends)
-        ]
-
-    def contains(self, q) -> bool:
-        """Exact membership of a rational or float position."""
-        x = as_fraction(q) % 1
-        num, d = x.numerator, x.denominator
-        scaled_floor = (num * self.den) // d
-        i = int(np.searchsorted(self.starts, scaled_floor, side="right")) - 1
-        if i < 0:
-            return False
-        return num * self.den < int(self.ends[i]) * d
-
-    def contains_points(self, q: np.ndarray) -> np.ndarray:
-        """Float membership mask for many positions (raster resolution)."""
-        x = (np.asarray(q, dtype=float) % 1.0) * float(self.den)
-        idx = np.searchsorted(self.starts, x, side="right") - 1
-        found = idx >= 0
-        idx = np.maximum(idx, 0)
-        return found & (x < self.ends[idx])
-
-
-def _hole_array(opening: OpeningSpec) -> tuple[np.ndarray, int]:
-    """Hole as integer [start, end) rows over the smallest denominator."""
-    lo, hi = opening.edges()
-    if opening.delta_q == 0:
-        return np.zeros((0, 2), dtype=np.int64), 1
-    if hi <= 1:
-        pieces = [(lo, hi)]
-    else:
-        pieces = [(Fraction(0), hi - 1), (lo, Fraction(1))]
-    den = 1
-    for a, b in pieces:
-        den = math.lcm(den, a.denominator, b.denominator)
-    rows = [(int(a * den), int(b * den)) for a, b in pieces]
-    rows = [(a, b) for a, b in rows if a < b]
-    return np.array(rows, dtype=np.int64).reshape(-1, 2), den
-
-
-def _subtract(starts, ends, hole):
-    """Remove each hole row from every interval, keeping order."""
-    for u, v in hole:
-        e1 = np.minimum(ends, u)
-        s2 = np.maximum(starts, v)
-        cand_s = np.empty(2 * starts.size, dtype=np.int64)
-        cand_e = np.empty(2 * starts.size, dtype=np.int64)
-        cand_s[0::2] = starts
-        cand_e[0::2] = e1
-        cand_s[1::2] = s2
-        cand_e[1::2] = ends
-        keep = cand_s < cand_e
-        starts, ends = cand_s[keep], cand_e[keep]
-    return starts, ends
-
-
-def _merge(starts, ends):
-    """Fuse intervals that share an endpoint."""
-    if starts.size <= 1:
-        return starts, ends
-    gap = starts[1:] != ends[:-1]
-    return starts[np.concatenate(([True], gap))], ends[np.concatenate((gap, [True]))]
-
-
-def survivor_sets(
-    opening: OpeningSpec, max_intervals: int = DEFAULT_MAX_INTERVALS
-) -> Iterator[IntervalUnion]:
-    """Yield S_0, S_1, S_2, ... until resolution runs out."""
-    hole, den = _hole_array(opening)
-    starts = np.array([0], dtype=np.int64)
-    ends = np.array([den], dtype=np.int64)
-    starts, ends = _subtract(starts, ends, hole)
-    yield IntervalUnion(starts, ends, den, validate=False)
-    scale = den
-    t = 0
-    while True:
-        t += 1
-        size = 2 * starts.size
-        if scale >= _MAX_SCALE or size > max_intervals:
-            raise ResolutionExhausted(
-                f"survivor recursion stopped at t={t}: {size} intervals "
-                f"at denominator {scale} (limit {max_intervals})",
-                size,
-                scale,
-            )
-        # preimage under doubling: two copies at half size, i.e. the same
-        # integer intervals reread at twice the denominator plus a shift
-        cand_s = np.concatenate((starts, starts + scale))
-        cand_e = np.concatenate((ends, ends + scale))
-        scale *= 2
-        cand_s, cand_e = _subtract(cand_s, cand_e, hole * (scale // den))
-        starts, ends = _merge(cand_s, cand_e)
-        yield IntervalUnion(starts, ends, scale, validate=False)
-
-
-def survivor_set(
-    opening: OpeningSpec, t: int, max_intervals: int = DEFAULT_MAX_INTERVALS
-) -> IntervalUnion:
-    """The t-step survivor set as an exact interval union."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    gen = survivor_sets(opening, max_intervals)
-    for _ in range(t):
-        next(gen)
-    return next(gen)
 
 
 @dataclass(frozen=True)
@@ -440,6 +286,20 @@ def escape_rate(
     return EscapeRateFit.from_series(series, fit_range)
 
 
+def _hole_window(opening: OpeningSpec, den: int) -> tuple[int, int]:
+    """The hole as a window (low, width) of the integers k mod den.
+
+    k / den lies in the hole [lo, hi) exactly when (k - low) mod den <
+    width, for low = ceil(lo den) and width = ceil(hi den) - low: k >= x
+    and k < x hold for an integer k just when they hold for ceil(x).
+    The one test covers wrapping holes, delta_q = 0 (an empty window) and
+    delta_q = 1 (every k).
+    """
+    lo, hi = opening.edges()
+    low = math.ceil(lo * den)
+    return low, math.ceil(hi * den) - low
+
+
 def monte_carlo_area(
     opening: OpeningSpec, t: int, n_samples: int, seed: int = 0
 ) -> tuple[float, float]:
@@ -447,22 +307,18 @@ def monte_carlo_area(
 
     Every uniform double from ``rng.random`` is k / 2^53 for an integer k,
     so the orbits run on those integers: doubling mod 1 is a left shift
-    of k mod 2^53, and the hole [lo, hi) is the modular window of the k
-    with (k - ceil(lo 2^53)) mod 2^53 < ceil(hi 2^53) - ceil(lo 2^53).  That
-    one test is exact for wrapping holes, delta_q = 0 (an empty window)
-    and delta_q = 1 (all of them), so the only approximation relative to
-    the exact areas is the sample noise.  Samples are drawn in chunks of
-    _MC_CHUNK from one stream, so memory stays fixed in n_samples and the
-    result does not depend on the chunk size.
+    of k mod 2^53, and the hole is the modular window _hole_window gives
+    at den = 2^53.  The only approximation relative to the exact areas is
+    the sample noise.  Samples are drawn in chunks of _MC_CHUNK from one
+    stream, so memory stays fixed in n_samples and the result does not
+    depend on the chunk size.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")
-    lo, hi = opening.edges()
-    low = math.ceil(lo * _MC_SCALE)
-    window = np.uint64(math.ceil(hi * _MC_SCALE) - low)
-    low, mask = np.uint64(low), np.uint64(_MC_SCALE - 1)
+    low, window = _hole_window(opening, _MC_SCALE)
+    low, window, mask = np.uint64(low), np.uint64(window), np.uint64(_MC_SCALE - 1)
     rng = np.random.default_rng(seed)
     survivors = 0
     for start in range(0, n_samples, _MC_CHUNK):
@@ -499,22 +355,44 @@ def render_trapped_set(
 
     Mode "initial" paints initial conditions that survive t steps, which
     form full vertical strips.  Mode "image" paints the t-step forward
-    image of that set via inverse iteration of cell centers, which bends
-    the structure into the p direction.  Both carry the same area.
-    Row 0 is the top of the square (p near 1).
+    image of that set: a pixel is trapped when its t-th preimage survives
+    t steps, which bends the structure into the p direction.  Both carry
+    the same area.  Row 0 is the top of the square (p near 1).
+
+    Pixel centres are (2i + 1) / (2 resolution).  A backward step halves
+    q and adds half of p's leading binary digit, so t of them send q to
+    (q + B) / 2^t, with B the first t digits of p in reverse order.  Each
+    pixel is then one integer over 2 resolution 2^t (below 2^33 at the
+    CLI caps), whose t + 1 window tests and doublings are exact.
     """
+    if t < 0:
+        raise ValueError("t must be nonnegative")
     if resolution <= 0:
         raise ValueError("resolution must be positive")
     if mode not in ("initial", "image"):
         raise ValueError(f"unknown mode {mode!r}")
-    su = survivor_set(opening, t)
-    centers = (np.arange(resolution) + 0.5) / resolution
+    den = 2 * resolution
+    centres = np.arange(1, den, 2, dtype=np.int64)
     if mode == "initial":
-        img = np.tile(su.contains_points(centers), (resolution, 1))
+        k = centres
     else:
-        qg, pg = np.meshgrid(centers, centers)
-        q, p = qg.ravel(), pg.ravel()
-        for _ in range(t):
-            q, p = baker_inverse_array(q, p)
-        img = su.contains_points(q).reshape(resolution, resolution)
-    return img[::-1]
+        if den << t > 2**62:  # doubling k < den must stay inside int64
+            raise ValueError(f"image raster at resolution {resolution} and t={t} "
+                             "needs orbits past int64")
+        p, digits = centres.copy(), np.zeros(resolution, dtype=np.int64)
+        for s in range(t):
+            p *= 2
+            bit = p >= den
+            p[bit] -= den
+            digits[bit] += 1 << s
+        # row j holds the pixels whose p centre is centres[j]
+        k = centres + den * digits[:, None]
+        den <<= t
+    low, width = _hole_window(opening, den)
+    trapped = np.ones(k.shape, dtype=bool)
+    for _ in range(t + 1):
+        trapped &= (k - low) % den >= width
+        k = 2 * k % den
+    if mode == "initial":
+        trapped = np.tile(trapped, (resolution, 1))
+    return trapped[::-1]

@@ -19,7 +19,7 @@ import conftest
 from openbaker import cli
 from openbaker.classical import OpeningSpec
 from openbaker.propagator import PropagatorSpec, baker_propagator, open_propagator, open_trace
-from openbaker.spectra import brute_force_spectrum_oracle, eigenvalues, resonance_set
+from openbaker.spectra import eigenvalues, resonance_set
 from openbaker.stats import (
     half_height_width,
     rescaled_decay_histogram,
@@ -32,8 +32,8 @@ from openbaker.trapped import (
     escape_rate,
     monte_carlo_area,
     qc_sweep,
-    survivor_sets,
 )
+from oracles import brute_force_spectrum_oracle, survivor_sets
 
 WEYL_DIMS = (128, 180, 256, 362, 512, 724, 1024)
 

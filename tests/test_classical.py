@@ -1,13 +1,11 @@
 """Map algebra, opening membership and survival times."""
 
-import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from openbaker.classical import OpeningSpec, as_fraction, baker_inverse_array
+from openbaker.classical import OpeningSpec, as_fraction
 from oracles import (
     PhasePoint,
     baker_forward,
@@ -59,27 +57,6 @@ def test_reflection_symmetry(q, p):
     flip = lambda x: PhasePoint((1.0 - x.q) % 1.0, (1.0 - x.p) % 1.0)
     x = PhasePoint(q, p)
     assert close(baker_forward(flip(x)), flip(baker_forward(x)))
-
-
-def test_array_maps_match_scalar():
-    rng = np.random.default_rng(3)
-    q, p = rng.random(100), rng.random(100)
-    qb, pb = baker_inverse_array(q, p)
-    for i in range(100):
-        assert (qb[i], pb[i]) == baker_inverse(PhasePoint(q[i], p[i]))
-        assert close(baker_forward(PhasePoint(qb[i], pb[i])), PhasePoint(q[i], p[i]))
-
-
-def test_forward_preserves_uniformity():
-    # the map is a bijection, so it preserves the uniform measure exactly
-    # when its inverse does; checked through the array step rasters use
-    rng = np.random.default_rng(7)
-    q, p = rng.random(10**6), rng.random(10**6)
-    qn, pn = baker_inverse_array(q, p)
-    from scipy.stats import kstest
-
-    assert kstest(qn, "uniform").pvalue > 1e-3
-    assert kstest(pn, "uniform").pvalue > 1e-3
 
 
 def test_opening_validation():

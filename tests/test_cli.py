@@ -77,6 +77,19 @@ def test_classical_series_and_raster(tmp_path, capsys):
         assert pgm.read_bytes().startswith(b"P5\n32 32\n255\n")
 
 
+def test_fully_absorbing_opening_rasters_are_white(tmp_path, capsys):
+    # delta_q = 1 leaves no survivors at all, so both rasters are empty
+    code, out, err = run(
+        ["classical", "--out", str(tmp_path), "--dq", "1", "--grid", "0:0.1:0.1",
+         "--raster-qc", "0.5", "--t", "2", "--resolution", "8"],
+        capsys,
+    )
+    assert code == 0, err
+    for mode in ("initial", "image"):
+        pgm = (tmp_path / f"raster_qc0.5_dq1_t2_{mode}.pgm").read_bytes()
+        assert pgm == b"P5\n8 8\n255\n" + b"\xff" * 64
+
+
 def test_spectrum_reruns_hit_cache(tmp_path, capsys):
     argv = ["spectrum", "--out", str(tmp_path), "--n", "32,48",
             "--qc", "0.5", "--dq", "0.1"]
@@ -292,8 +305,8 @@ def test_cli_import_leaves_scipy_out():
     src = str(Path(openbaker.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    probe = ("import sys, openbaker.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    probe = ("import sys, openbaker.cli; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('scipy', 'mpmath')))")
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                             text=True, env=env, timeout=120, check=True)
     assert result.stdout.strip() == "[]"
@@ -409,6 +422,43 @@ def test_width_nmax_above_solver_cap_is_a_usage_error(tmp_path, capsys, monkeypa
               "--nmin", "16", "--nmax", str(MAX_EIGEN_DIM + 1)])
     assert exc.value.code == 2
     assert f"exceeds the solver cap {MAX_EIGEN_DIM}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["spectrum", "--n", f"16,{MAX_EIGEN_DIM + 1}", "--qc", "0.5", "--dq", "0.1"],
+         f"--n {MAX_EIGEN_DIM + 1} exceeds the solver cap {MAX_EIGEN_DIM}"),
+        (["stats", "cumulative", "--n", f"16,{MAX_EIGEN_DIM + 1}", "--qc", "0.5",
+          "--dq", "0.1"],
+         f"--n {MAX_EIGEN_DIM + 1} exceeds the solver cap {MAX_EIGEN_DIM}"),
+        (["weyl", "--n", f"16,24,32,{MAX_EIGEN_DIM + 2}", "--qc", "0.5", "--dq", "0.1"],
+         f"--n {MAX_EIGEN_DIM + 2} exceeds the solver cap {MAX_EIGEN_DIM}"),
+        (["weyl", "--n", "16,24,32,64", "--qc", "0.5", "--dq", "0.1", "--nu-cut", "1.5"],
+         "--nu-cut must lie in [0, 1), got 1.5"),
+        (["weyl", "--n", "16,24,32,64", "--qc", "0.5", "--dq", "0.1", "--nu-cut", "-0.1"],
+         "--nu-cut must lie in [0, 1), got -0.1"),
+        (["stats", "rescaled", "--n", "16", "--qc", "0.5", "--dq", "0.1",
+          "--gamma-cl", "0"], "--gamma-cl must be finite and positive, got 0.0"),
+        (["stats", "rescaled", "--n", "16", "--qc", "0.5", "--dq", "0.1",
+          "--gamma-cl", "nan"], "--gamma-cl must be finite and positive, got nan"),
+        (["stats", "rescaled", "--n", "16", "--qc", "0.5", "--dq", "0.1",
+          "--gamma-cl", "inf"], "--gamma-cl must be finite and positive, got inf"),
+    ],
+)
+def test_bad_spectral_inputs_fail_before_solving(
+    tmp_path, capsys, monkeypatch, argv, message
+):
+    def no_solve(self, spec):
+        raise AssertionError(f"solved N={spec.dim} before rejecting the input")
+
+    monkeypatch.setattr(SpectrumCache, "get_or_compute", no_solve)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.strip().splitlines()[-1].endswith(message)
+    assert not out.exists()
 
 
 def test_parser_defaults_are_parsed():

@@ -9,12 +9,11 @@ from openbaker.classical import OpeningSpec
 from openbaker.propagator import (
     PropagatorSpec,
     baker_propagator,
-    gn_matrix,
     open_propagator,
     open_trace,
     propagator_diagonal,
 )
-from oracles import contains_q
+from oracles import contains_q, gn_matrix
 
 
 def test_kernel_smallest_cases():

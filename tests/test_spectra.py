@@ -9,12 +9,8 @@ from scipy.optimize import linear_sum_assignment
 from openbaker import spectra
 from openbaker.classical import OpeningSpec
 from openbaker.propagator import PropagatorSpec, baker_propagator, open_propagator
-from openbaker.spectra import (
-    brute_force_spectrum_oracle,
-    eigenvalues,
-    resonance_set,
-    sort_spectrum,
-)
+from openbaker.spectra import eigenvalues, resonance_set, sort_spectrum
+from oracles import brute_force_spectrum_oracle
 
 
 def multiset_distance(a, b) -> float:

@@ -123,6 +123,13 @@ def test_rescaled_histogram_geometry():
         rescaled_decay_histogram(rs, gamma_cl=0.0)
 
 
+@pytest.mark.parametrize("gamma_cl", [float("nan"), float("inf")])
+def test_rescaled_histogram_rejects_non_finite_rate(gamma_cl):
+    rs = fake_set([0.95, 0.85, 0.75, 0.0])
+    with pytest.raises(ValueError, match="finite and positive"):
+        rescaled_decay_histogram(rs, gamma_cl=gamma_cl)
+
+
 def test_rescaled_peak_puts_ties_toward_long_lived():
     rs = fake_set([0.95, 0.85, 0.0, 0.0])
     rh = rescaled_decay_histogram(rs, gamma_cl=1.0, bin_width=0.1)

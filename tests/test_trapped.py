@@ -11,7 +11,6 @@ from openbaker import trapped
 from openbaker.classical import OpeningSpec
 from openbaker.trapped import (
     MAX_CELLS,
-    IntervalUnion,
     ResolutionExhausted,
     area_series,
     escape_rate,
@@ -19,10 +18,16 @@ from openbaker.trapped import (
     monte_carlo_area,
     qc_sweep,
     render_trapped_set,
+)
+from oracles import (
+    IntervalUnion,
+    PhasePoint,
+    baker_inverse,
+    monte_carlo_area_float,
+    survival_time,
     survivor_set,
     survivor_sets,
 )
-from oracles import PhasePoint, monte_carlo_area_float, survival_time
 
 # openings drawn from short decimals keep denominators small and exact
 decimals = st.integers(0, 999).map(lambda k: Fraction(k, 1000))
@@ -54,28 +59,6 @@ def test_survivor_set_structure():
     ]
     assert su.measure == Fraction(9, 10)
     assert len(su) == 2
-
-
-def test_interval_membership_exact():
-    su = survivor_set(OpeningSpec(0.5, 0.1), 0)
-    assert su.contains(0.0)
-    assert su.contains(0.449)
-    assert not su.contains(Fraction(9, 20))
-    assert su.contains(Fraction(11, 20))
-    assert not su.contains(0.5)
-    mask = su.contains_points(np.array([0.0, 0.3, 0.5, 0.56]))
-    assert mask.tolist() == [True, True, False, True]
-
-
-def test_interval_union_validation():
-    with pytest.raises(ValueError):
-        IntervalUnion([0, 1], [2], 4)
-    with pytest.raises(ValueError):
-        IntervalUnion([2], [1], 4)
-    with pytest.raises(ValueError):
-        IntervalUnion([0, 1], [1, 3], 2)
-    ok = IntervalUnion([0, 2], [1, 3], 4)
-    assert ok.measure == Fraction(1, 2)
 
 
 def _contained_in(inner: IntervalUnion, outer: IntervalUnion) -> bool:
@@ -152,13 +135,6 @@ def test_escape_rate_values():
     assert fit3.residual_rms < 1e-3
     fit5 = escape_rate(area_series(OpeningSpec(0.5, 0.1), 25))
     assert abs(fit5.gamma - 0.16491) < 5e-5
-
-
-def test_resolution_guard():
-    with pytest.raises(ResolutionExhausted) as err:
-        survivor_set(OpeningSpec(0.3, 0.1), 40, max_intervals=200)
-    assert err.value.size > 200 or err.value.scale >= 2**62
-    assert "survivor recursion stopped" in str(err.value)
 
 
 def _recursion_areas(opening, t_max):
@@ -298,3 +274,40 @@ def test_render_modes():
         render_trapped_set(o, t, resolution=0)
     with pytest.raises(ValueError):
         render_trapped_set(o, t, mode="sideways")
+
+
+@pytest.mark.parametrize(
+    "mode, res, qc, dq, t",
+    [
+        # a raster of float-rounded centres misjudges a column in each of
+        # the first five; exact centres get every pixel right
+        ("initial", 100, "0.31", "0.1", 4),
+        ("initial", 100, "0.99", "0.3", 4),
+        ("initial", 600, "0.31", "0.1", 13),
+        ("initial", 1000, "0.31", "0.1", 13),
+        ("image", 25, "0.99", "0.1", 5),
+        ("image", 12, "0", "0.1", 5),  # hole wraps through q = 0
+        ("image", 4, "0.5", "0.2", 59),  # den 2^62, the int64 limit
+    ],
+)
+def test_raster_pixels_match_fraction_orbits(mode, res, qc, dq, t):
+    o = OpeningSpec(qc, dq)
+    img = render_trapped_set(o, t, resolution=res, mode=mode)
+    rows = range(res) if mode == "image" else [res - 1]  # initial rows repeat
+    for row in rows:
+        p = Fraction(2 * row + 1, 2 * res)
+        for col in range(res):
+            x = PhasePoint(Fraction(2 * col + 1, 2 * res), p)
+            if mode == "image":
+                for _ in range(t):
+                    x = baker_inverse(x)
+            expected = survival_time(x, o, t + 1) is None
+            assert img[res - 1 - row, col] == expected, (row, col)
+    if mode == "initial":
+        assert (img == img[0]).all()
+
+
+
+def test_image_raster_refuses_orbits_past_int64():
+    with pytest.raises(ValueError, match="past int64"):
+        render_trapped_set(OpeningSpec(0.5, 0.1), 60, resolution=4, mode="image")
