@@ -1,20 +1,23 @@
 """Disk cache for computed spectra.
 
-Entries are keyed by a hash of the physical parameters plus convention
-and solver version strings, so a change in grid or endpoint conventions
-invalidates old data instead of silently mixing with it.  The payload is
-the spectrum CSV itself; a JSON manifest carries the parameters, a
+A spectrum is fixed by the dimension and the canonical kept mask, which
+already encodes the grid and endpoint conventions, so entries are keyed
+by a hash of those two and the solver version: openings that absorb the
+same sites, or mirror images of each other, share one entry.  The payload
+is the spectrum CSV itself, written once; a JSON manifest carries its
 checksum and a timestamp.  Loads are validated against the checksum and
 against the trace identity of a freshly rebuilt propagator diagonal.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 import tempfile
 import time
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 from . import __version__
@@ -22,9 +25,7 @@ from .csvio import read_spectrum_csv, sha256_file, write_spectrum_csv
 from .propagator import PropagatorSpec, open_trace
 from .spectra import ResonanceSet, resonance_set
 
-# bump when endpoint/grid conventions change, or when the solver pipeline
-# or the payload's number format (csvio.write_spectrum_csv) changes
-CONVENTION_VERSION = 1
+# bump when the solver or the payload's number format (csvio) changes
 SOLVER_VERSION = 3
 
 TRACE_TOL_PER_DIM = 1e-8
@@ -34,39 +35,28 @@ class CacheError(RuntimeError):
     """A cache entry exists but fails its integrity checks."""
 
 
+@functools.lru_cache(maxsize=4096)
 def cache_key(spec: PropagatorSpec) -> str:
-    """Stable hash of the parameters and the convention versions.
-
-    OpeningSpec holds q_c and delta_q as exact rationals, so 0.1, "0.1"
-    and Fraction(1, 10) address the same entry.
-    """
-    opening = spec.opening
-    text = (
-        f"dim={spec.dim};qc={opening.q_c};dq={opening.delta_q};"
-        f"conv={CONVENTION_VERSION};solver={SOLVER_VERSION}"
-    )
-    return hashlib.sha256(text.encode("ascii")).hexdigest()
+    """Hash of the dimension, canonical mask and solver version; memoized."""
+    keep, _ = spec.canonical_mask()
+    head = f"dim={spec.dim};solver={SOLVER_VERSION};keep=".encode("ascii")
+    return hashlib.sha256(head + keep.tobytes()).hexdigest()
 
 
-def _atomic_write(path: Path, write) -> None:
-    """Run write(tmp) on a fresh temp file beside path, then rename it.
-
-    Every writer stages under its own unique name, so concurrent writers
-    of one entry never rename each other's staged file.
-    """
+@contextmanager
+def _staged(path: Path):
+    """A uniquely named temp file beside path, removed unless renamed away."""
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     os.close(fd)
     try:
-        write(tmp)
-        os.replace(tmp, path)
-    except BaseException:
+        yield tmp
+    finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 class SpectrumCache:
-    """Content-addressed store of spectrum CSVs under one directory."""
+    """Write-once store of spectrum CSVs under one directory."""
 
     def __init__(self, root):
         self.root = Path(root)
@@ -82,21 +72,27 @@ class SpectrumCache:
         return self.payload_path(spec).exists() and self.manifest_path(spec).exists()
 
     def store(self, spec: PropagatorSpec, rs: ResonanceSet) -> Path:
-        """Write payload then manifest, each through an atomic rename."""
-        payload = self.payload_path(spec)
-        _atomic_write(payload, lambda tmp: write_spectrum_csv(tmp, rs.values))
+        """Write the payload once, then the manifest by atomic rename.
+
+        A payload already in place is kept, and the manifest records the
+        checksum of the payload on disk.
+        """
+        payload, manifest_path = self.payload_path(spec), self.manifest_path(spec)
+        with _staged(payload) as tmp:
+            write_spectrum_csv(tmp, rs.values)
+            with suppress(FileExistsError):
+                os.link(tmp, payload)
         manifest = {
             "dim": spec.dim,
-            "q_c": str(spec.opening.q_c),
-            "delta_q": str(spec.opening.delta_q),
-            "convention_version": CONVENTION_VERSION,
             "solver_version": SOLVER_VERSION,
             "sha256": sha256_file(payload),
             "created": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
             "tool_version": __version__,
         }
         data = (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("ascii")
-        _atomic_write(self.manifest_path(spec), lambda tmp: Path(tmp).write_bytes(data))
+        with _staged(manifest_path) as tmp:
+            Path(tmp).write_bytes(data)
+            os.replace(tmp, manifest_path)
         return payload
 
     def load(self, spec: PropagatorSpec) -> ResonanceSet:

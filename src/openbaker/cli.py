@@ -206,7 +206,6 @@ def cmd_spectrum(args, out: Path, cache: SpectrumCache) -> None:
             f"spectrum_N{spec.dim}_qc{_num(args.qc)}_dq{_num(args.dq)}.csv"
         )
         # copy the payload bytes so reruns are identical to the cache
-        path.parent.mkdir(parents=True, exist_ok=True)
         shutil.copyfile(cache.payload_path(spec), path)
         _emit(path, args)
         print(f"spectrum N={spec.dim}: {'cache hit' if hits[spec] else 'computed'}")
@@ -391,12 +390,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_specs(parser, qcs, dqs, dims=()) -> None:
+    """Build every opening, and every spec of dims, or exit with its message."""
+    try:
+        for qc in qcs:
+            for dq in dqs:
+                opening = OpeningSpec(qc, dq)
+                for dim in dims:
+                    PropagatorSpec(dim, opening)
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
 def _validate(args, parser: argparse.ArgumentParser) -> None:
     """Reject bad inputs with exit status 2 before anything is built."""
     dims = getattr(args, "n", None)
     if dims and max(dims) > MAX_EIGEN_DIM:
         parser.error(f"--n {max(dims)} exceeds the solver cap {MAX_EIGEN_DIM}")
     if args.command == "classical":
+        # the grid is monotone, so its two ends bound every centre
+        centres = [args.grid[0], args.grid[-1], *args.series_qc, *args.raster_qc]
+        _check_specs(parser, centres, args.dq)
         for flag, value in (("--t", args.t), ("--tmax", args.tmax)):
             if not 0 <= value <= MAX_T:
                 parser.error(f"{flag} {value} is outside 0..{MAX_T}")
@@ -409,12 +423,16 @@ def _validate(args, parser: argparse.ArgumentParser) -> None:
             )
         if args.raster_qc and not 0 <= raster_t <= MAX_RASTER_T:
             parser.error(f"raster time {raster_t} is outside 0..{MAX_RASTER_T}")
+    if args.command == "spectrum":
+        _check_specs(parser, [args.qc], [args.dq], args.n)
     if args.command == "stats":
         needs_n = args.mode in ("cumulative", "histogram", "rescaled")
         if needs_n and not args.n:
             parser.error(f"stats {args.mode} requires --n")
         if not args.qc:
             parser.error(f"stats {args.mode} requires --qc")
+        # stats width reports odd dimensions as per-point failures
+        _check_specs(parser, args.qc, [args.dq], args.n if needs_n else ())
         if args.mode == "width":
             if args.nmax > MAX_EIGEN_DIM:
                 parser.error(
@@ -436,6 +454,7 @@ def _validate(args, parser: argparse.ArgumentParser) -> None:
     if args.command == "weyl" and args.inject is None:
         if args.qc is None or args.dq is None:
             parser.error("weyl requires --qc and --dq unless --inject is used")
+        _check_specs(parser, [args.qc], [args.dq], args.n)
         if not 0 <= args.nu_cut < 1:
             parser.error(f"--nu-cut must lie in [0, 1), got {args.nu_cut}")
         # weyl_fit's own rules, checked here so no spectrum is solved in vain

@@ -88,6 +88,15 @@ class PropagatorSpec:
         keep[: max(stop - self.dim, 0)] = False
         return keep
 
+    def canonical_mask(self) -> tuple[np.ndarray, bool]:
+        """(mask, mirrored): kept_mask or its mirror image, whichever sorts first.
+
+        R: j -> dim-1-j commutes with B bit for bit, so both give one spectrum.
+        """
+        keep = self.kept_mask()
+        mirrored = keep[::-1].tobytes() < keep.tobytes()
+        return (keep[::-1] if mirrored else keep), mirrored
+
     @property
     def removed_count(self) -> int:
         """Number of absorbed grid sites, about dim * delta_q."""

@@ -126,15 +126,6 @@ class ResonanceSet:
     def moduli(self) -> np.ndarray:
         return np.abs(self.values)
 
-    @property
-    def gammas(self) -> np.ndarray:
-        """Decay rates defined through nu^2 = exp(-Gamma).
-
-        Exact numerical zeros map to +inf, marking fully absorbed modes.
-        """
-        with np.errstate(divide="ignore"):
-            return -2.0 * np.log(self.moduli)
-
     def __len__(self) -> int:
         return int(self.values.size)
 
@@ -142,9 +133,12 @@ class ResonanceSet:
 def resonance_set(spec: PropagatorSpec) -> ResonanceSet:
     """Solve one opened propagator.
 
-    The closed propagator commutes with the reflection R: j -> dim-1-j.
-    When the kept mask is mirror-symmetric, so does the opened one, A,
-    and its spectrum is that of the even and odd blocks A11 + A12 J and
+    The closed propagator commutes with the reflection R: j -> dim-1-j,
+    so the opened one, A, is solved for the canonical kept mask
+    (PropagatorSpec.canonical_mask): R A R when the spec's own mask is
+    the mirror image.  An opening and its mirror image thus get the same
+    bits.  When the mask is mirror-symmetric, A commutes with R too, and
+    its spectrum is that of the even and odd blocks A11 + A12 J and
     A11 - A12 J, where J reverses dim/2 indices: two solves of half the
     size, a quarter of the work.  Other masks solve A itself.
 
@@ -154,7 +148,9 @@ def resonance_set(spec: PropagatorSpec) -> ResonanceSet:
     if spec.dim > MAX_EIGEN_DIM:
         raise ValueError(f"dimension {spec.dim} exceeds the solver cap {MAX_EIGEN_DIM}")
     a = open_propagator(spec)
-    keep = spec.kept_mask()
+    keep, mirrored = spec.canonical_mask()
+    if mirrored:
+        a = a[::-1, ::-1]
     if (keep == keep[::-1]).all():
         h = spec.dim // 2
         a11, a12j = a[:h, :h], a[:h, h:][:, ::-1]
@@ -164,4 +160,3 @@ def resonance_set(spec: PropagatorSpec) -> ResonanceSet:
     w = sort_spectrum(w)
     w.setflags(write=False)
     return ResonanceSet(spec=spec, values=w)
-

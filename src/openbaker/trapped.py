@@ -89,6 +89,20 @@ class _Partition(NamedTuple):
     last: np.ndarray
 
 
+def _hole_window(opening: OpeningSpec, den: int) -> tuple[int, int]:
+    """The hole as a window (low, width) of the integers k mod den.
+
+    k / den lies in the hole [lo, hi) exactly when (k - low) mod den <
+    width, for low = ceil(lo den) and width = ceil(hi den) - low: k >= x
+    and k < x hold for an integer k just when they hold for ceil(x).
+    The one test covers wrapping holes, delta_q = 0 (an empty window) and
+    delta_q = 1 (every k).
+    """
+    lo, hi = opening.edges()
+    low = math.ceil(lo * den)
+    return low, math.ceil(hi * den) - low
+
+
 def _markov_partition(opening: OpeningSpec) -> _Partition:
     """Cut the circle at the doubling orbits of 0, 1/2 and both hole edges.
 
@@ -98,9 +112,10 @@ def _markov_partition(opening: OpeningSpec) -> _Partition:
     """
     lo, hi = opening.edges()
     den = math.lcm(2, lo.denominator, hi.denominator)
-    half, lo_i, hi_i = den // 2, int(lo * den), int(hi * den)
+    half = den // 2
+    low, width = _hole_window(opening, den)
     points: set[int] = set()
-    for x in (0, half, lo_i, hi_i % den):
+    for x in (0, half, low, (low + width) % den):
         while x not in points:
             if len(points) == MAX_CELLS:
                 raise ResolutionExhausted(
@@ -117,8 +132,7 @@ def _markov_partition(opening: OpeningSpec) -> _Partition:
     cuts.append(den)
     kept, first, last = [], [], []
     for a, b in zip(cuts, cuts[1:]):
-        # hi_i may exceed den when the hole wraps through q = 0
-        if lo_i <= a < hi_i or a < hi_i - den:
+        if (a - low) % den < width:
             kept.append(0)
             first.append(0)
             last.append(0)
@@ -284,20 +298,6 @@ def escape_rate(
     series: SurvivalSeries, fit_range: tuple[int, int] = DEFAULT_FIT_RANGE
 ) -> EscapeRateFit:
     return EscapeRateFit.from_series(series, fit_range)
-
-
-def _hole_window(opening: OpeningSpec, den: int) -> tuple[int, int]:
-    """The hole as a window (low, width) of the integers k mod den.
-
-    k / den lies in the hole [lo, hi) exactly when (k - low) mod den <
-    width, for low = ceil(lo den) and width = ceil(hi den) - low: k >= x
-    and k < x hold for an integer k just when they hold for ceil(x).
-    The one test covers wrapping holes, delta_q = 0 (an empty window) and
-    delta_q = 1 (every k).
-    """
-    lo, hi = opening.edges()
-    low = math.ceil(lo * den)
-    return low, math.ceil(hi * den) - low
 
 
 def monte_carlo_area(

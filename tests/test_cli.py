@@ -109,13 +109,34 @@ def test_spectrum_reruns_hit_cache(tmp_path, capsys):
 
 
 def test_spectrum_odd_dimension_fails_cleanly(tmp_path, capsys):
-    code, out, err = run(
-        ["spectrum", "--out", str(tmp_path), "--n", "601",
-         "--qc", "0.5", "--dq", "0.1"],
-        capsys,
-    )
-    assert code == 2
-    assert "error: quantization requires even dimension, got 601" in err
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--out", str(out), "--n", "601", "--qc", "0.5", "--dq", "0.1"])
+    assert exc.value.code == 2
+    assert "error: quantization requires even dimension, got 601" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_spectrum_mirror_openings_share_a_cache_entry(tmp_path, capsys):
+    cache = tmp_path / "cache"
+
+    def spectrum(dim, qc):
+        code, out, _ = run(["spectrum", "--out", str(tmp_path), "--cache", str(cache),
+                            "--n", str(dim), "--qc", qc, "--dq", "0.1"], capsys)
+        assert code == 0
+        return out, (tmp_path / f"spectrum_N{dim}_qc{qc}_dq0.1.csv").read_bytes()
+
+    out_low, csv_low = spectrum(64, "0.3")
+    out_high, csv_high = spectrum(64, "0.7")
+    assert "computed" in out_low and "cache hit" in out_high
+    assert csv_high == csv_low
+    assert len(list(cache.iterdir())) == 2  # one manifest, one payload
+    # at N = 602 the edge q = 0.25 falls on site 150, which (0.3, 0.1)
+    # absorbs while the mirror image of (0.7, 0.1) keeps it
+    spectrum(602, "0.3")
+    out_high, _ = spectrum(602, "0.7")
+    assert "computed" in out_high
+    assert len(list(cache.iterdir())) == 6
 
 
 def test_stats_width_records_failures(tmp_path, capsys):
@@ -444,6 +465,16 @@ def test_width_nmax_above_solver_cap_is_a_usage_error(tmp_path, capsys, monkeypa
           "--gamma-cl", "nan"], "--gamma-cl must be finite and positive, got nan"),
         (["stats", "rescaled", "--n", "16", "--qc", "0.5", "--dq", "0.1",
           "--gamma-cl", "inf"], "--gamma-cl must be finite and positive, got inf"),
+        (["stats", "cumulative", "--n", "16,17", "--qc", "0.5", "--dq", "0.1"],
+         "quantization requires even dimension, got 17"),
+        (["stats", "histogram", "--n", "16", "--qc", "0.5", "--dq", "1.5"],
+         "delta_q must lie in [0, 1], got 3/2"),
+        (["stats", "width", "--qc", "0.5,1", "--dq", "0.1", "--nmin", "16", "--nmax", "20"],
+         "q_c must lie in [0, 1), got 1"),
+        (["spectrum", "--n", "16", "--qc", "1.2", "--dq", "0.1"],
+         "q_c must lie in [0, 1), got 6/5"),
+        (["weyl", "--n", "16,24,32,65", "--qc", "0.5", "--dq", "0.1"],
+         "quantization requires even dimension, got 65"),
     ],
 )
 def test_bad_spectral_inputs_fail_before_solving(
@@ -535,6 +566,10 @@ def test_raster_bounds_are_usage_errors(capsys, extra, message):
         (["--tmax", str(MAX_T + 1)], f"--tmax {MAX_T + 1} is outside 0..{MAX_T}"),
         (["--t", "-1"], f"--t -1 is outside 0..{MAX_T}"),
         (["--t", str(MAX_T + 1)], f"--t {MAX_T + 1} is outside 0..{MAX_T}"),
+        (["--dq", "0.1,1.5", "--grid", "0:0.1:0.1"], "delta_q must lie in [0, 1], got 3/2"),
+        (["--grid", "0.5:1.5:0.5"], "q_c must lie in [0, 1), got 3/2"),
+        (["--series-qc", "0.5,1.25"], "q_c must lie in [0, 1), got 5/4"),
+        (["--raster-qc", "-0.1"], "q_c must lie in [0, 1), got -1/10"),
     ],
 )
 def test_classical_bad_times_fail_before_writing(tmp_path, capsys, extra, message):

@@ -11,7 +11,7 @@ from openbaker import csvio
 from openbaker.cache import CacheError, SpectrumCache, cache_key
 from openbaker.classical import OpeningSpec
 from openbaker.propagator import PropagatorSpec
-from openbaker.spectra import resonance_set
+from openbaker.spectra import ResonanceSet, resonance_set
 from openbaker.stats import synthetic_power_law_points
 from openbaker.trapped import SurvivalSeries, area_series
 
@@ -99,6 +99,12 @@ def test_cache_key_canonicalizes_parameters():
     c = PropagatorSpec(64, OpeningSpec("0.1", "0.25"))
     assert cache_key(a) == cache_key(b) == cache_key(c)
     assert cache_key(a) != cache_key(PropagatorSpec(66, OpeningSpec(0.1, 0.25)))
+    # the key is the kept mask: openings absorbing the same sites, and
+    # mirror images q_c <-> 1 - q_c, share it
+    d = PropagatorSpec(64, OpeningSpec("0.3", "0.1"))
+    assert (d.kept_mask() == PropagatorSpec(64, OpeningSpec("0.301", "0.1")).kept_mask()).all()
+    assert cache_key(d) == cache_key(PropagatorSpec(64, OpeningSpec("0.301", "0.1")))
+    assert cache_key(d) == cache_key(PropagatorSpec(64, OpeningSpec("0.7", "0.1")))
 
 
 def test_cache_roundtrip(tmp_path):
@@ -189,3 +195,48 @@ def test_cache_store_survives_reentrant_writer(tmp_path, monkeypatch):
         [cache.payload_path(spec).name, cache.manifest_path(spec).name]
     )
     assert (cache.load(spec).values == resonance_set(spec).values).all()
+
+
+def _last_bit_changed(rs: ResonanceSet) -> ResonanceSet:
+    values = rs.values.copy()
+    values[0] = complex(np.nextafter(values[0].real, 2.0), values[0].imag)
+    return ResonanceSet(spec=rs.spec, values=values)
+
+
+def test_cache_store_keeps_the_committed_payload(tmp_path):
+    cache = SpectrumCache(tmp_path)
+    spec = PropagatorSpec(16, OpeningSpec(0.3, 0.1))
+    first = resonance_set(spec)
+    cache.store(spec, first)
+    data = cache.payload_path(spec).read_bytes()
+    cache.store(spec, _last_bit_changed(first))
+    assert cache.payload_path(spec).read_bytes() == data
+    assert (cache.load(spec).values == first.values).all()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [cache.payload_path(spec).name, cache.manifest_path(spec).name]
+    )
+    manifest = json.loads(cache.manifest_path(spec).read_text())
+    assert sorted(manifest) == ["created", "dim", "sha256", "solver_version", "tool_version"]
+
+
+def test_cache_load_survives_a_store_between_manifest_and_payload(tmp_path, monkeypatch):
+    # a store of different last bits lands after load has read the
+    # manifest and before it hashes the payload, as a second process
+    # sharing the cache directory can; load must still see one store
+    cache = SpectrumCache(tmp_path)
+    spec = PropagatorSpec(16, OpeningSpec(0.3, 0.1))
+    first = resonance_set(spec)
+    cache.store(spec, first)
+    sha256_file = cache_module.sha256_file
+    reentered = []
+
+    def store_then_hash(path):
+        if not reentered:
+            reentered.append(path)
+            cache.store(spec, _last_bit_changed(first))
+        return sha256_file(path)
+
+    monkeypatch.setattr(cache_module, "sha256_file", store_then_hash)
+    rs = cache.load(spec)
+    assert reentered
+    assert (rs.values == first.values).all()
