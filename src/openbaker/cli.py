@@ -4,7 +4,9 @@ Four commands cover the pipeline: classical (survivor-area sweeps,
 series and rasters), spectrum (cached resonance spectra), stats
 (cumulative fractions, histograms, width sweeps, rescaled decay
 distributions) and weyl (long-lived mode counting with a power-law
-fit).  Every produced file gets a sidecar manifest; plotting is left to
+fit).  The classical references of weyl and stats rescaled are the exact
+ones of the Markov partition; only classical fits the survivor areas.
+Every produced file gets a sidecar manifest; plotting is left to
 whatever consumes the CSVs.
 """
 
@@ -21,10 +23,10 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import csvio
-from .cache import CacheError, SpectrumCache
+from .cache import CacheError, SpectrumCache, cache_key
 from .classical import OpeningSpec, as_fraction
 from .propagator import PropagatorSpec
-from .spectra import MAX_EIGEN_DIM, EigensolverError, split_blas_threads
+from .spectra import MAX_EIGEN_DIM, EigensolverError, ResonanceSet, split_blas_threads
 from .stats import (
     DEFAULT_BIN_WIDTH,
     DEFAULT_NU_CUT,
@@ -153,13 +155,22 @@ def _solve_many(specs, cache: SpectrumCache, jobs: int) -> dict:
     (split_blas_threads), so K workers do not each start the full count
     on the same cores.  Results come back in a dict, keeping emission
     order deterministic regardless of jobs.
+
+    Specs sharing a cache entry (mirror openings, say) are solved or
+    loaded once; each gets its own ResonanceSet over those values.
     """
-    specs = list(dict.fromkeys(specs))  # one solve and one store per spec
-    workers = min(jobs, os.cpu_count() or 1, len(specs))
+    first = {}
+    for spec in specs:
+        first.setdefault(cache_key(spec), spec)
+    unique = list(first.values())
+    workers = min(jobs, os.cpu_count() or 1, len(unique))
     if workers <= 1:
-        return {spec: cache.get_or_compute(spec)[0] for spec in specs}
-    with split_blas_threads(workers), ThreadPoolExecutor(max_workers=workers) as pool:
-        return dict(zip(specs, pool.map(lambda s: cache.get_or_compute(s)[0], specs)))
+        solved = [cache.get_or_compute(spec)[0] for spec in unique]
+    else:
+        with split_blas_threads(workers), ThreadPoolExecutor(max_workers=workers) as pool:
+            solved = list(pool.map(lambda s: cache.get_or_compute(s)[0], unique))
+    values = {key: rs.values for key, rs in zip(first, solved)}
+    return {spec: ResonanceSet(spec, values[cache_key(spec)]) for spec in specs}
 
 
 def cmd_classical(args, out: Path, cache: SpectrumCache) -> None:
@@ -211,13 +222,6 @@ def cmd_spectrum(args, out: Path, cache: SpectrumCache) -> None:
         print(f"spectrum N={spec.dim}: {'cache hit' if hits[spec] else 'computed'}")
 
 
-def _gamma_for(qc: Fraction, dq: Fraction, override) -> float:
-    if override is not None:
-        return float(override)
-    fit = escape_rate(area_series(OpeningSpec(qc, dq), DEFAULT_FIT_RANGE[1]))
-    return fit.gamma
-
-
 def cmd_stats(args, out: Path, cache: SpectrumCache) -> None:
     dq = args.dq
     tag = f"dq{_num(dq)}"
@@ -240,13 +244,14 @@ def cmd_stats(args, out: Path, cache: SpectrumCache) -> None:
         csvio.write_width_csv(path, points)
         _emit(path, args)
         return
+    gammas = dict.fromkeys(args.qc, args.gamma_cl)
+    if args.mode == "rescaled" and args.gamma_cl is None:
+        # before any solve: a hole no orbit survives fails here
+        gammas = {qc: exact_escape(OpeningSpec(qc, dq)).gamma for qc in args.qc}
     specs = [
         PropagatorSpec(dim, OpeningSpec(qc, dq)) for qc in args.qc for dim in args.n
     ]
     solved = _solve_many(specs, cache, args.jobs)
-    gammas = {}
-    if args.mode == "rescaled":
-        gammas = {qc: _gamma_for(qc, dq, args.gamma_cl) for qc in args.qc}
     for qc in args.qc:
         for dim in args.n:
             rs = solved[PropagatorSpec(dim, OpeningSpec(qc, dq))]
@@ -293,11 +298,12 @@ def cmd_weyl(args, out: Path, cache: SpectrumCache) -> None:
         return
     opening = OpeningSpec(args.qc, args.dq)
     dims = args.n if args.n else list(WEYL_DIM_PRESETS)
+    # before any solve: a hole no orbit survives fails here
+    reference = exact_escape(opening).d_info - 1
     specs = [PropagatorSpec(dim, opening) for dim in dims]
     solved = _solve_many(specs, cache, args.jobs)
     pts = [weyl_count(solved[spec], args.nu_cut) for spec in specs]
     fit = weyl_fit(pts)
-    reference = escape_rate(area_series(opening, DEFAULT_FIT_RANGE[1])).d_info - 1
     tag = f"qc{_num(args.qc)}_dq{_num(args.dq)}"
     path = out / f"weyl_{tag}.csv"
     csvio.write_weyl_csv(path, pts)
@@ -374,7 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--nmax", type=int, default=WIDTH_DIM_RANGE[1])
     st.add_argument("--step", type=int, default=2)
     st.add_argument("--gamma-cl", type=float, default=None,
-                    help="override the classical rate in rescaled mode")
+                    help="classical escape rate for rescaled mode "
+                         "(default: the exact rate of each opening)")
     st.set_defaults(func=cmd_stats)
 
     w = sub.add_parser("weyl", parents=[common],

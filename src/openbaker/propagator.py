@@ -97,11 +97,6 @@ class PropagatorSpec:
         mirrored = keep[::-1].tobytes() < keep.tobytes()
         return (keep[::-1] if mirrored else keep), mirrored
 
-    @property
-    def removed_count(self) -> int:
-        """Number of absorbed grid sites, about dim * delta_q."""
-        return int((~self.kept_mask()).sum())
-
 
 def open_propagator(spec: PropagatorSpec) -> np.ndarray:
     """Closed propagator with absorbed columns zeroed.

@@ -33,14 +33,14 @@ class EigensolverError(RuntimeError):
     """QR iteration did not converge within LAPACK's budget."""
 
 
-def eigenvalues(m: np.ndarray, max_dim: int = MAX_EIGEN_DIM) -> np.ndarray:
+def eigenvalues(m: np.ndarray) -> np.ndarray:
     """Eigenvalues of a square complex matrix, unordered."""
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] > max_dim:
+    if m.shape[0] > MAX_EIGEN_DIM:
         raise ValueError(
-            f"dimension {m.shape[0]} exceeds the solver cap {max_dim}"
+            f"dimension {m.shape[0]} exceeds the solver cap {MAX_EIGEN_DIM}"
         )
     if not np.isfinite(m).all():
         raise ValueError("matrix contains non-finite entries")

@@ -168,12 +168,6 @@ class RescaledHistogram:
     def midpoints(self) -> np.ndarray:
         return 0.5 * (self.lefts + self.rights)
 
-    def peak_location(self) -> float:
-        """Midpoint of the highest bin; ties go to the longest-lived bin."""
-        if self.density.size == 0 or self.density.max() <= 0:
-            raise ValueError("histogram has no occupied bins")
-        return float(self.midpoints[int(np.argmax(self.density))])
-
 
 def rescaled_decay_histogram(
     rs: ResonanceSet,

@@ -269,35 +269,30 @@ class EscapeRateFit:
     fit_range: tuple[int, int]
     residual_rms: float
 
-    @classmethod
-    def from_series(
-        cls, series: SurvivalSeries, fit_range: tuple[int, int] = DEFAULT_FIT_RANGE
-    ) -> "EscapeRateFit":
-        t_lo, t_hi = fit_range
-        if t_lo < 0 or t_hi <= t_lo:
-            raise ValueError(f"bad fit window {fit_range}")
-        if t_hi > series.t_max:
-            raise ValueError(
-                f"series ends at t={series.t_max}, fit window needs t={t_hi}"
-            )
-        if any(a == 0 for a in series.areas[t_lo : t_hi + 1]):
-            raise ValueError("survivor set vanished inside the fit window")
-        ts = np.arange(t_lo, t_hi + 1)
-        y = -series.log_areas()[t_lo : t_hi + 1]
-        slope, intercept = np.polyfit(ts, y, 1)
-        resid = y - (slope * ts + intercept)
-        return cls(
-            gamma=float(slope),
-            d_info=2.0 - float(slope) / _LN2,
-            fit_range=(t_lo, t_hi),
-            residual_rms=float(np.sqrt(np.mean(resid**2))),
-        )
-
 
 def escape_rate(
     series: SurvivalSeries, fit_range: tuple[int, int] = DEFAULT_FIT_RANGE
 ) -> EscapeRateFit:
-    return EscapeRateFit.from_series(series, fit_range)
+    """Least-squares slope of -ln A(t) over fit_range, as the paper fits."""
+    t_lo, t_hi = fit_range
+    if t_lo < 0 or t_hi <= t_lo:
+        raise ValueError(f"bad fit window {fit_range}")
+    if t_hi > series.t_max:
+        raise ValueError(
+            f"series ends at t={series.t_max}, fit window needs t={t_hi}"
+        )
+    if any(a == 0 for a in series.areas[t_lo : t_hi + 1]):
+        raise ValueError("survivor set vanished inside the fit window")
+    ts = np.arange(t_lo, t_hi + 1)
+    y = -series.log_areas()[t_lo : t_hi + 1]
+    slope, intercept = np.polyfit(ts, y, 1)
+    resid = y - (slope * ts + intercept)
+    return EscapeRateFit(
+        gamma=float(slope),
+        d_info=2.0 - float(slope) / _LN2,
+        fit_range=(t_lo, t_hi),
+        residual_rms=float(np.sqrt(np.mean(resid**2))),
+    )
 
 
 def monte_carlo_area(

@@ -4,6 +4,8 @@ Point-by-point orbits of the baker map, a Monte Carlo on float orbits,
 the survivor sets as exact interval unions, the Fourier kernel G_n and a
 characteristic-polynomial spectrum.  Each is the plain definition, with
 none of the library's shortcuts, so the tests can hold the library to it.
+Two small readers of library objects, the absorbed-site count and the
+rescaled-histogram peak, live here too, as only the tests use them.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ import mpmath as mp
 import numpy as np
 
 from openbaker.classical import OpeningSpec
+from openbaker.propagator import PropagatorSpec
 from openbaker.spectra import sort_spectrum
+from openbaker.stats import RescaledHistogram
 
 ORACLE_MAX_DIM = 8
 
@@ -177,6 +181,18 @@ def gn_matrix(n: int) -> np.ndarray:
         raise ValueError(f"kernel dimension must be positive, got {n}")
     j = np.arange(n) + 0.5
     return np.exp(-2j * np.pi * np.outer(j, j) / n) / np.sqrt(n)
+
+
+def removed_count(spec: PropagatorSpec) -> int:
+    """Number of absorbed grid sites, about dim * delta_q."""
+    return int((~spec.kept_mask()).sum())
+
+
+def peak_location(rh: RescaledHistogram) -> float:
+    """Midpoint of the highest bin; ties go to the longest-lived bin."""
+    if rh.density.size == 0 or rh.density.max() <= 0:
+        raise ValueError("histogram has no occupied bins")
+    return float(rh.midpoints[int(np.argmax(rh.density))])
 
 
 def _char_poly_coeffs(a, n: int):

@@ -33,7 +33,7 @@ from openbaker.trapped import (
     monte_carlo_area,
     qc_sweep,
 )
-from oracles import brute_force_spectrum_oracle, survivor_sets
+from oracles import brute_force_spectrum_oracle, peak_location, survivor_sets
 
 WEYL_DIMS = (128, 180, 256, 362, 512, 724, 1024)
 
@@ -326,7 +326,7 @@ def test_criterion_09_rescaling_collapse():
     peaks = {}
     for dim in (602, 1024):
         rh = rescaled_decay_histogram(spectrum(dim, "0.3", "0.1"), gamma_cl)
-        peaks[dim] = rh.peak_location()
+        peaks[dim] = peak_location(rh)
     ok = all(0.6 <= peak <= 1.5 for peak in peaks.values())
     record(
         9,

@@ -25,7 +25,9 @@ from openbaker.cli import (
     main,
 )
 from openbaker.propagator import PropagatorSpec
-from openbaker.spectra import MAX_EIGEN_DIM, EigensolverError
+from openbaker.spectra import MAX_EIGEN_DIM, EigensolverError, ResonanceSet, resonance_set
+from openbaker.stats import rescaled_decay_histogram
+from openbaker.trapped import exact_escape
 
 
 def run(argv, capsys):
@@ -218,37 +220,44 @@ def test_solve_many_caps_workers(monkeypatch):
     class FakeCache:
         def get_or_compute(self, spec):
             seen.append(blas.threads)
-            return 10 * spec, False
+            return ResonanceSet(spec, 10 * spec), False
 
+    def solve_many(specs, jobs):
+        solved = cli._solve_many(specs, FakeCache(), jobs)
+        assert all(rs.spec == spec for spec, rs in solved.items())
+        return {spec: rs.values for spec, rs in solved.items()}
+
+    # integer stand-ins for specs, each its own cache key
+    monkeypatch.setattr(cli, "cache_key", lambda spec: spec)
     monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
     monkeypatch.setattr(spectra, "_openblas_threads", lambda: (blas.get, blas.set))
     specs = [1, 2, 3, 4, 5]
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert cli._solve_many(specs, FakeCache(), 64) == {s: 10 * s for s in specs}
+    assert solve_many(specs, 64) == {s: 10 * s for s in specs}
     assert started == [2]
     # the two workers share the 5 threads, 2 each, and the 5 come back after
     assert blas.sets == [2, 5] and seen == [2] * 5 and blas.threads == 5
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    assert cli._solve_many([1, 2, 2, 1], FakeCache(), 5) == {1: 10, 2: 20}
+    assert solve_many([1, 2, 2, 1], 5) == {1: 10, 2: 20}
     assert started == [2, 2]
     assert blas.sets == [2, 5, 2, 5]
     # an unknown core count, --jobs 1 and a single distinct spec run
     # serially, without a pool and on the full thread count
     seen.clear()
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert cli._solve_many(specs, FakeCache(), 4) == {s: 10 * s for s in specs}
+    assert solve_many(specs, 4) == {s: 10 * s for s in specs}
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    assert cli._solve_many(specs, FakeCache(), 1) == {s: 10 * s for s in specs}
-    assert cli._solve_many([3, 3], FakeCache(), 4) == {3: 30}
+    assert solve_many(specs, 1) == {s: 10 * s for s in specs}
+    assert solve_many([3, 3], 4) == {3: 30}
     assert started == [2, 2]
     assert blas.sets == [2, 5, 2, 5] and seen == [5] * 11
     # one thread cannot be split further
     blas.threads = 1
-    cli._solve_many(specs, FakeCache(), 8)
+    solve_many(specs, 8)
     assert blas.sets[-2:] == [1, 1]
     # without a known BLAS the pool runs on whatever the BLAS does itself
     monkeypatch.setattr(spectra, "_openblas_threads", lambda: None)
-    assert cli._solve_many(specs, FakeCache(), 8) == {s: 10 * s for s in specs}
+    assert solve_many(specs, 8) == {s: 10 * s for s in specs}
     assert started[-1] == 5 and len(blas.sets) == 6
 
 
@@ -261,6 +270,7 @@ def test_solve_many_restores_blas_threads_when_a_solve_raises(monkeypatch):
                 raise EigensolverError("QR iteration did not converge")
             return spec, False
 
+    monkeypatch.setattr(cli, "cache_key", lambda spec: spec)
     monkeypatch.setattr(spectra, "_openblas_threads", lambda: (blas.get, blas.set))
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     with pytest.raises(EigensolverError):
@@ -322,12 +332,13 @@ def test_concurrent_solves_match_serial_ones(tmp_path, capsys, monkeypatch):
         assert matched_gap(serial, pooled, 0.1) <= 1e-10
 
 
-def test_cli_import_leaves_scipy_out():
+def test_cli_import_loads_no_test_dependency():
+    # numpy is the only runtime dependency; the rest are the tests' own
     src = str(Path(openbaker.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     probe = ("import sys, openbaker.cli; print(sorted(m for m in sys.modules "
-             "if m.split('.')[0] in ('scipy', 'mpmath')))")
+             "if m.split('.')[0] in ('scipy', 'mpmath', 'hypothesis')))")
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                             text=True, env=env, timeout=120, check=True)
     assert result.stdout.strip() == "[]"
@@ -345,15 +356,23 @@ def test_stats_histogram_and_cumulative(tmp_path, capsys):
 
 
 def test_stats_rescaled_reports_rate(tmp_path, capsys):
-    code, out, err = run(
-        ["stats", "rescaled", "--out", str(tmp_path), "--dq", "0.1",
-         "--qc", "0.5", "--n", "64"],
-        capsys,
-    )
-    assert code == 0
-    assert "gamma_cl=" in out
-    rows = (tmp_path / "rescaled_N64_qc0.5_dq0.1.csv").read_text().splitlines()
-    assert rows[0] == "gamma_over_gamma_cl,W"
+    # the exact rate of the opening unless --gamma-cl gives one
+    opening = OpeningSpec("0.5", "0.1")
+    rs = resonance_set(PropagatorSpec(64, opening))
+    for extra, gamma, printed in (([], exact_escape(opening).gamma, "0.16510"),
+                                  (["--gamma-cl", "0.2"], 0.2, "0.20000")):
+        code, out, err = run(
+            ["stats", "rescaled", "--out", str(tmp_path / "out"), "--dq", "0.1",
+             "--qc", "0.5", "--n", "64", *extra],
+            capsys,
+        )
+        assert code == 0, err
+        assert f"qc=0.5: gamma_cl={printed}" in out.splitlines()
+        written = tmp_path / "out" / "rescaled_N64_qc0.5_dq0.1.csv"
+        assert written.read_text().splitlines()[0] == "gamma_over_gamma_cl,W"
+        expected = tmp_path / "expected.csv"
+        csvio.write_rescaled_csv(expected, rescaled_decay_histogram(rs, gamma))
+        assert written.read_bytes() == expected.read_bytes()
 
 
 def test_stats_requires_parameters(tmp_path, capsys):
@@ -415,6 +434,76 @@ def test_weyl_small_fit_runs(tmp_path, capsys):
     assert "weyl fit: slope=" in out
     summary = (tmp_path / "weyl_fit_qc0.5_dq0.1.txt").read_text()
     assert "reference=" in summary and "deviation=" in summary
+
+
+@pytest.mark.parametrize("dq, reference", [
+    # the trapped set of (0.5, 0.2) is countable; the t <= 25 area fit read 0.093
+    ("0.2", "0.000000"),
+    ("0.1", "0.761814"),
+])
+def test_weyl_reference_is_the_exact_dimension(tmp_path, capsys, dq, reference):
+    code, out, err = run(
+        ["weyl", "--out", str(tmp_path), "--qc", "0.5", "--dq", dq,
+         "--n", "16,24,32,48,64"],
+        capsys,
+    )
+    assert code == 0, err
+    exact = exact_escape(OpeningSpec("0.5", dq)).d_info - 1
+    assert f"{exact:.6f}" == reference
+    lines = (tmp_path / f"weyl_fit_qc0.5_dq{dq}.txt").read_text().splitlines()
+    assert lines[2] == f"reference={reference}"
+    slope = float(lines[0].removeprefix("slope="))
+    assert float(lines[3].removeprefix("deviation=")) == pytest.approx(slope - exact, abs=2e-6)
+    assert f"reference={exact:.4f}" in out
+
+
+@pytest.mark.parametrize("command", [["weyl", "--n", "16,24,32,64"],
+                                     ["stats", "rescaled", "--n", "16"]])
+def test_hole_no_orbit_survives_fails_before_solving(tmp_path, capsys, monkeypatch, command):
+    def no_solve(spec):
+        raise AssertionError(f"solved N={spec.dim}")
+
+    monkeypatch.setattr("openbaker.cache.resonance_set", no_solve)
+    code, out, err = run(command + ["--out", str(tmp_path), "--qc", "0", "--dq", "0.7"],
+                         capsys)
+    assert code == 2
+    assert err.startswith("error: no orbit avoids the hole of width 7/10 forever")
+    assert list((tmp_path / "cache").iterdir()) == []
+
+
+def test_mirror_openings_solve_and_load_once(tmp_path, capsys, monkeypatch):
+    # (0.3, 0.1) and (0.7, 0.1) absorb mirror-image sites at N = 16, 20, 64
+    solve, get_or_compute = openbaker.cache.resonance_set, SpectrumCache.get_or_compute
+    solves, gets = [], []
+
+    def counting_solve(spec):
+        solves.append(spec.dim)
+        return solve(spec)
+
+    def counting_get(self, spec):
+        gets.append(spec.dim)
+        return get_or_compute(self, spec)
+
+    monkeypatch.setattr("openbaker.cache.resonance_set", counting_solve)
+    monkeypatch.setattr(SpectrumCache, "get_or_compute", counting_get)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    out = tmp_path / "out"
+    code, _, err = run(["stats", "cumulative", "--out", str(out), "--n", "64",
+                        "--qc", "0.3,0.7", "--dq", "0.1", "--jobs", "2"], capsys)
+    assert code == 0, err
+    assert solves == gets == [64]
+    low, high = (out / f"cumulative_N64_qc{qc}_dq0.1.csv" for qc in ("0.3", "0.7"))
+    assert low.read_bytes() == high.read_bytes()
+    solves.clear()
+    gets.clear()
+    code, _, err = run(["stats", "width", "--out", str(out), "--nmin", "16", "--nmax", "20",
+                        "--step", "4", "--qc", "0.3,0.7", "--dq", "0.1", "--jobs", "2"],
+                       capsys)
+    assert code == 0, err
+    assert sorted(solves) == sorted(gets) == [16, 20]
+    rows = [r.split(",") for r in (out / "width_dq0.1.csv").read_text().splitlines()[1:]]
+    assert [r[:2] for r in rows] == [["16", "0.3"], ["20", "0.3"], ["16", "0.7"], ["20", "0.7"]]
+    assert [r[2] for r in rows[:2]] == [r[2] for r in rows[2:]]
 
 
 def test_bad_grid_is_a_usage_error(tmp_path):

@@ -13,7 +13,7 @@ from openbaker.propagator import (
     open_trace,
     propagator_diagonal,
 )
-from oracles import contains_q, gn_matrix
+from oracles import contains_q, gn_matrix, removed_count
 
 
 def test_kernel_smallest_cases():
@@ -78,7 +78,7 @@ def test_propagator_unitary(n):
 def test_kept_mask_small_grid():
     spec = PropagatorSpec(4, OpeningSpec(0.5, 0.5))
     assert spec.kept_mask().tolist() == [True, False, False, True]
-    assert spec.removed_count == 2
+    assert removed_count(spec) == 2
 
 
 def test_kept_mask_edge_site():
@@ -110,7 +110,7 @@ def test_kept_mask_matches_site_by_site_membership():
 @pytest.mark.parametrize("dim", [32, 100, 602])
 def test_removed_count_tracks_width(dim):
     spec = PropagatorSpec(dim, OpeningSpec(0.3, 0.1))
-    assert abs(spec.removed_count - dim * 0.1) <= 1
+    assert abs(removed_count(spec) - dim * 0.1) <= 1
 
 
 def test_open_propagator_columns():
