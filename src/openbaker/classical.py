@@ -7,6 +7,7 @@ before each step, so a point born inside the strip escapes at time 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -57,3 +58,16 @@ class OpeningSpec:
         """
         lo = (self.q_c - self.delta_q / 2) % 1
         return lo, lo + self.delta_q
+
+    def window(self, den: int) -> tuple[int, int]:
+        """The hole as a window (low, width) of the integers k mod den.
+
+        k / den lies in the hole [lo, hi) exactly when (k - low) mod den <
+        width, for low = ceil(lo den) and width = ceil(hi den) - low: k >= x
+        and k < x hold for an integer k just when they hold for ceil(x).
+        The one test covers wrapping holes, delta_q = 0 (an empty window) and
+        delta_q = 1 (every k).
+        """
+        lo, hi = self.edges()
+        low = math.ceil(lo * den)
+        return low, math.ceil(hi * den) - low

@@ -325,8 +325,15 @@ def cmd_weyl(args, out: Path, cache: SpectrumCache) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Parser whose usage errors are one line; subparsers inherit the class."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="openbaker",
         description="Escape dynamics and resonance statistics of the open baker map.",
     )
@@ -449,8 +456,11 @@ def _validate(args, parser: argparse.ArgumentParser) -> None:
                 parser.error(f"--step must be at least 1, got {args.step}")
             if args.nmin > args.nmax:
                 parser.error(f"--nmin {args.nmin} above --nmax {args.nmax}: no dimensions")
-        if args.mode == "rescaled" and args.gamma_cl is not None:
-            if not 0 < args.gamma_cl < math.inf:
+        if args.mode == "rescaled":
+            if args.gamma_cl is None and args.dq == 0:
+                parser.error("the closed map (--dq 0) has no escape rate to rescale "
+                             "by; give one with --gamma-cl")
+            if args.gamma_cl is not None and not 0 < args.gamma_cl < math.inf:
                 parser.error(f"--gamma-cl must be finite and positive, got {args.gamma_cl}")
         if args.mode != "cumulative":
             lo, hi = args.range if args.mode == "histogram" else (args.tail_lo, 1.0)

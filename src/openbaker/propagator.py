@@ -74,19 +74,12 @@ class PropagatorSpec:
     def kept_mask(self) -> np.ndarray:
         """True at grid sites outside the strip.
 
-        Sites sit at q_j = (2j + 1)/(2 dim).  The strip [lo, hi) absorbs
-        the j with 2 dim lo <= 2j + 1 < 2 dim hi; both ends of that index
-        range are found on exact rationals, so edge sites land
-        deterministically.  Indices past dim - 1 belong to a strip
-        wrapping through q = 0 and continue from site 0.
+        Site j sits at q_j = (2j + 1)/(2 dim), so it is absorbed when the
+        odd integer 2j + 1 falls in the opening's window over 2 dim: the
+        same exact test the classical side runs, edge sites included.
         """
-        lo, hi = self.opening.edges()
-        first = math.ceil((2 * self.dim * lo - 1) / 2)
-        stop = math.ceil((2 * self.dim * hi - 1) / 2)
-        keep = np.ones(self.dim, dtype=bool)
-        keep[first:stop] = False
-        keep[: max(stop - self.dim, 0)] = False
-        return keep
+        low, width = self.opening.window(2 * self.dim)
+        return (2 * np.arange(self.dim) + 1 - low) % (2 * self.dim) >= width
 
     def canonical_mask(self) -> tuple[np.ndarray, bool]:
         """(mask, mirrored): kept_mask or its mirror image, whichever sorts first.

@@ -218,7 +218,6 @@ class WeylFit:
     slope: float
     intercept_log10: float
     rms_residual: float
-    points: tuple[WeylDataPoint, ...]
 
 
 def weyl_fit(points: Iterable[WeylDataPoint]) -> WeylFit:
@@ -244,28 +243,16 @@ def weyl_fit(points: Iterable[WeylDataPoint]) -> WeylFit:
         slope=float(slope),
         intercept_log10=float(intercept),
         rms_residual=float(np.sqrt(np.mean(resid**2))),
-        points=pts,
     )
 
 
-def synthetic_power_law_points(
-    exponent_num: int = 4,
-    exponent_den: int = 5,
-    prefactor: int = 3,
-    n_points: int = 4,
-) -> list[WeylDataPoint]:
+def synthetic_power_law_points(n_points: int = 4) -> list[WeylDataPoint]:
     """Exact power-law data for self-testing the fit.
 
-    Dimensions are powers of 2^den and counts prefactor * 2^(num k), so
-    count = prefactor * dim^(num/den) holds exactly in integers.
+    Dimensions are 32^k and counts 3 * 16^k, so count = 3 * dim^(4/5)
+    holds exactly in integers.
     """
-    if not (0 < exponent_num < exponent_den):
-        raise ValueError("exponent must be a proper fraction")
     return [
-        WeylDataPoint(
-            dim=2 ** (exponent_den * k),
-            count=prefactor * 2 ** (exponent_num * k),
-            nu_cut=DEFAULT_NU_CUT,
-        )
+        WeylDataPoint(dim=2 ** (5 * k), count=3 * 2 ** (4 * k), nu_cut=DEFAULT_NU_CUT)
         for k in range(1, n_points + 1)
     ]

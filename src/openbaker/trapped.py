@@ -12,8 +12,9 @@ for the spectral radius rho of the cell transition matrix.
 
 Rasters of the trapped set decide each pixel from the doubling orbit of
 its centre, an integer over a common denominator, tested against the
-hole as one modular window of those integers, the same test the Monte
-Carlo sampler runs on k / 2^53.  No pixel verdict is rounded.
+hole as one modular window of those integers (OpeningSpec.window), the
+same test the Monte Carlo sampler runs on k / 2^53 and the quantum
+projector runs on the grid sites.  No pixel verdict is rounded.
 """
 
 from __future__ import annotations
@@ -89,20 +90,6 @@ class _Partition(NamedTuple):
     last: np.ndarray
 
 
-def _hole_window(opening: OpeningSpec, den: int) -> tuple[int, int]:
-    """The hole as a window (low, width) of the integers k mod den.
-
-    k / den lies in the hole [lo, hi) exactly when (k - low) mod den <
-    width, for low = ceil(lo den) and width = ceil(hi den) - low: k >= x
-    and k < x hold for an integer k just when they hold for ceil(x).
-    The one test covers wrapping holes, delta_q = 0 (an empty window) and
-    delta_q = 1 (every k).
-    """
-    lo, hi = opening.edges()
-    low = math.ceil(lo * den)
-    return low, math.ceil(hi * den) - low
-
-
 def _markov_partition(opening: OpeningSpec) -> _Partition:
     """Cut the circle at the doubling orbits of 0, 1/2 and both hole edges.
 
@@ -113,7 +100,7 @@ def _markov_partition(opening: OpeningSpec) -> _Partition:
     lo, hi = opening.edges()
     den = math.lcm(2, lo.denominator, hi.denominator)
     half = den // 2
-    low, width = _hole_window(opening, den)
+    low, width = opening.window(den)
     points: set[int] = set()
     for x in (0, half, low, (low + width) % den):
         while x not in points:
@@ -302,17 +289,17 @@ def monte_carlo_area(
 
     Every uniform double from ``rng.random`` is k / 2^53 for an integer k,
     so the orbits run on those integers: doubling mod 1 is a left shift
-    of k mod 2^53, and the hole is the modular window _hole_window gives
-    at den = 2^53.  The only approximation relative to the exact areas is
-    the sample noise.  Samples are drawn in chunks of _MC_CHUNK from one
-    stream, so memory stays fixed in n_samples and the result does not
-    depend on the chunk size.
+    of k mod 2^53, and the hole is the modular window OpeningSpec.window
+    gives at den = 2^53.  The only approximation relative to the exact
+    areas is the sample noise.  Samples are drawn in chunks of _MC_CHUNK
+    from one stream, so memory stays fixed in n_samples and the result
+    does not depend on the chunk size.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")
-    low, window = _hole_window(opening, _MC_SCALE)
+    low, window = opening.window(_MC_SCALE)
     low, window, mask = np.uint64(low), np.uint64(window), np.uint64(_MC_SCALE - 1)
     rng = np.random.default_rng(seed)
     survivors = 0
@@ -383,7 +370,7 @@ def render_trapped_set(
         # row j holds the pixels whose p centre is centres[j]
         k = centres + den * digits[:, None]
         den <<= t
-    low, width = _hole_window(opening, den)
+    low, width = opening.window(den)
     trapped = np.ones(k.shape, dtype=bool)
     for _ in range(t + 1):
         trapped &= (k - low) % den >= width

@@ -94,6 +94,19 @@ def test_opening_edges_wrap():
     assert lo == Fraction(9, 20) and hi == Fraction(11, 20)
 
 
+def test_window_matches_membership():
+    # (k - low) mod den < width exactly when k / den lies in the strip,
+    # for wrapping strips, edge points and the empty and full openings
+    for qc in ("0", "0.5", "0.975", "0.3"):
+        for dq in ("0", "0.1", "0.3", "1"):
+            opening = OpeningSpec(qc, dq)
+            for den in (1, 2, 20, 40, 37):
+                low, width = opening.window(den)
+                for k in range(den):
+                    inside = (k - low) % den < width
+                    assert inside == contains_q(opening, Fraction(k, den)), (qc, dq, den, k)
+
+
 def test_in_opening_membership():
     o = OpeningSpec(0.5, 0.1)
     assert in_opening(PhasePoint(0.5, 0.2), o)

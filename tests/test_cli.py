@@ -564,6 +564,9 @@ def test_width_nmax_above_solver_cap_is_a_usage_error(tmp_path, capsys, monkeypa
          "q_c must lie in [0, 1), got 6/5"),
         (["weyl", "--n", "16,24,32,65", "--qc", "0.5", "--dq", "0.1"],
          "quantization requires even dimension, got 65"),
+        (["stats", "rescaled", "--n", "16,32", "--qc", "0.5", "--dq", "0"],
+         "the closed map (--dq 0) has no escape rate to rescale by; "
+         "give one with --gamma-cl"),
     ],
 )
 def test_bad_spectral_inputs_fail_before_solving(
@@ -579,6 +582,24 @@ def test_bad_spectral_inputs_fail_before_solving(
     assert exc.value.code == 2
     assert capsys.readouterr().err.strip().splitlines()[-1].endswith(message)
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # rejected in _validate
+        (["stats", "cumulative", "--n", "16,4098", "--qc", "0.5", "--dq", "0.1"],
+         "openbaker: error: --n 4098 exceeds the solver cap 4096"),
+        # rejected by an argparse type function of a subcommand
+        (["stats", "width", "--qc", "0.5", "--dq", "0.1", "--jobs", "0"],
+         "openbaker stats: error: argument --jobs: must be at least 1, got 0"),
+    ],
+)
+def test_usage_errors_print_one_line(tmp_path, capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines() == [message]
 
 
 def test_parser_defaults_are_parsed():

@@ -107,6 +107,26 @@ def test_cache_key_canonicalizes_parameters():
     assert cache_key(d) == cache_key(PropagatorSpec(64, OpeningSpec("0.7", "0.1")))
 
 
+@pytest.mark.parametrize(
+    "dim, qc, dq, key",
+    [
+        (64, "0.3", "0.1", "a584ee6595d5e9e615e4a701636c9b96f6f645c789bb5fc1faf49fdeaf665a87"),
+        # the mirror opening of the one above
+        (64, "0.7", "0.1", "a584ee6595d5e9e615e4a701636c9b96f6f645c789bb5fc1faf49fdeaf665a87"),
+        # a site on the closed edge 0.45, so the mask is asymmetric
+        (50, "0.5", "0.1", "03c09e5d57f9356e2d8589f477c5a3a0247e102c03fde3daebf5d92c2c3f0d35"),
+        (16, "0.5", "0", "9f75a76988736d9705313fcb22fdec62840d3ce547e3865c62a691e14e9bc58b"),
+        (16, "0.5", "1", "b7343d1fe4e1fdad36767cba312a1585ce156547462294827598660cd8579024"),
+        # wraps through q = 0
+        (16, "0", "0.2", "6888d535dfe5728872ec9ce400042d480a4a369e6ec77cdeaceb9cc76476813f"),
+        (1266, "0.5", "0.1", "c59f48f8d41967a4aed3fc4bda25d87d4bc1867769399fad1d48c28b3c38f5da"),
+    ],
+)
+def test_cache_key_is_stable(dim, qc, dq, key):
+    # existing caches stay readable only while these digests hold
+    assert cache_key(PropagatorSpec(dim, OpeningSpec(qc, dq))) == key
+
+
 def test_cache_roundtrip(tmp_path):
     # miss and hit both return exactly the solver's values, for a full
     # solve and for a parity-split one
