@@ -173,27 +173,31 @@ def _solve_many(specs, cache: SpectrumCache, jobs: int) -> dict:
     return {spec: ResonanceSet(spec, values[cache_key(spec)]) for spec in specs}
 
 
-def cmd_classical(args, out: Path, cache: SpectrumCache) -> None:
+def cmd_classical(args, out: Path, cache: SpectrumCache | None) -> None:
     dqs = args.dq
-    grid = args.grid
-    for dq in dqs:
-        rows = qc_sweep(dq, grid, args.t)
-        path = out / f"sweep_dq{_num(dq)}_t{args.t}.csv"
-        csvio.write_sweep_csv(path, dq, args.t, rows)
-        _emit(path, args)
+    # every series and its fits first, so a window the survivors do not
+    # outlast fails before any file is written
+    fitted = []
     for qc in args.series_qc:
         for dq in dqs:
             series = area_series(OpeningSpec(qc, dq), args.tmax)
-            path = out / f"series_qc{_num(qc)}_dq{_num(dq)}.csv"
-            csvio.write_series_csv(path, series)
-            _emit(path, args)
             fit = escape_rate(series, args.fit_range)
-            exact = exact_escape(series.opening)
-            print(
-                f"qc={_num(qc)} dq={_num(dq)}: gamma={fit.gamma:.5f} "
-                f"d_info={fit.d_info:.5f} rms={fit.residual_rms:.2e} "
-                f"exact_gamma={exact.gamma:.5f} exact_d_info={exact.d_info:.5f}"
-            )
+            fitted.append((series, fit, exact_escape(series.opening)))
+    for dq in dqs:
+        rows = qc_sweep(dq, args.grid, args.t)
+        path = out / f"sweep_dq{_num(dq)}_t{args.t}.csv"
+        csvio.write_sweep_csv(path, dq, args.t, rows)
+        _emit(path, args)
+    for series, fit, exact in fitted:
+        qc, dq = series.opening.q_c, series.opening.delta_q
+        path = out / f"series_qc{_num(qc)}_dq{_num(dq)}.csv"
+        csvio.write_series_csv(path, series)
+        _emit(path, args)
+        print(
+            f"qc={_num(qc)} dq={_num(dq)}: gamma={fit.gamma:.5f} "
+            f"d_info={fit.d_info:.5f} rms={fit.residual_rms:.2e} "
+            f"exact_gamma={exact.gamma:.5f} exact_d_info={exact.d_info:.5f}"
+        )
     raster_t = args.t if args.raster_t is None else args.raster_t
     modes = ("initial", "image") if args.raster_mode == "both" else (args.raster_mode,)
     for qc in args.raster_qc:
@@ -490,7 +494,9 @@ def main(argv=None) -> int:
     _validate(args, parser)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    cache = SpectrumCache(args.cache if args.cache else out / "cache")
+    cache = None
+    if args.command != "classical":
+        cache = SpectrumCache(args.cache if args.cache else out / "cache")
     try:
         args.func(args, out, cache)
     except (ValueError, ResolutionExhausted, EigensolverError, CacheError, OSError) as exc:

@@ -6,7 +6,9 @@ offsets (antiperiodic boundary conditions).  Its entries have a closed
 form, so B and its diagonal are built in O(N^2) and O(N) without the
 matrix product.  Opening the map multiplies by a diagonal projector that
 kills the grid sites inside the absorbing strip, which simply zeroes the
-matching columns.
+matching columns.  For a mirror-symmetric strip the opened propagator
+splits into an even and an odd block of half the size, which are built
+from the same closed form without the full matrix.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .classical import OpeningSpec
 
@@ -45,6 +48,19 @@ def _kernel_table(dim: int) -> np.ndarray:
     return (1j + (1 - 2 * (r % 2))) * flip / denom
 
 
+def _kernel_view(dim: int, rows: int, cols: int, step: int, offset: int) -> np.ndarray:
+    """Read-only view V[j, k] = _kernel_table(dim)[(j + step k + offset) mod 2 dim].
+
+    Row j + 1 starts one entry after row j, so V is a strided window over
+    the table repeated end to end: no index array, and O(dim) memory.
+    """
+    span = abs(step) * (cols - 1) + 1
+    start = (offset + min(step, 0) * (cols - 1)) % (2 * dim)
+    reps = -(-(start + rows + span - 1) // (2 * dim))
+    windows = sliding_window_view(np.tile(_kernel_table(dim), reps), span)
+    return windows[start : start + rows, ::step]
+
+
 def _row_twist(j: np.ndarray) -> np.ndarray:
     """Factor i (-1)^j taking column k of B to column k + dim/2."""
     return 1j * (1 - 2 * (j % 2))
@@ -54,10 +70,9 @@ def baker_propagator(dim: int) -> np.ndarray:
     """Unitary quantization of the closed map on dim grid sites."""
     _check_dim(dim)
     h = dim // 2
-    j = np.arange(dim)[:, None]
     b = np.empty((dim, dim), dtype=complex)
-    b[:, :h] = _kernel_table(dim)[(j - 2 * np.arange(h) - 1) % (2 * dim)]
-    b[:, h:] = b[:, :h] * _row_twist(j)
+    b[:, :h] = _kernel_view(dim, dim, h, -2, -1)
+    np.multiply(b[:, :h], _row_twist(np.arange(dim)[:, None]), out=b[:, h:])
     return b
 
 
@@ -100,6 +115,27 @@ def open_propagator(spec: PropagatorSpec) -> np.ndarray:
     b = baker_propagator(spec.dim)
     b[:, ~spec.kept_mask()] = 0
     return b
+
+
+def parity_block(dim: int, keep: np.ndarray, sign: int) -> np.ndarray:
+    """Even (sign 1) or odd (sign -1) block A11 + sign A12 J of the opened B.
+
+    For a mirror-symmetric kept mask, A = B P commutes with the reflection
+    R: j -> dim-1-j, and its spectrum is that of these two blocks of size
+    h = dim/2, J reversing h indices.  Entry (j, k) is
+
+        keep[k] (K[(j - 2k - 1) mod 2 dim] + sign i (-1)^j K[(j + 2k + 1 - dim) mod 2 dim])
+
+    with K the kernel table, the second term being column dim-1-k of B.
+    The products and sums are those of slicing open_propagator, so the
+    entries agree with it bit for bit; only the h x h block is allocated.
+    """
+    h = dim // 2
+    block = _kernel_view(dim, h, h, 2, 1 - dim) * _row_twist(np.arange(h)[:, None])
+    combine = np.add if sign > 0 else np.subtract
+    combine(_kernel_view(dim, h, h, -2, -1), block, out=block)
+    block[:, ~keep[:h]] = 0
+    return block
 
 
 def propagator_diagonal(dim: int) -> np.ndarray:

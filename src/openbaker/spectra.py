@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .propagator import PropagatorSpec, open_propagator
+from .propagator import PropagatorSpec, open_propagator, parity_block
 
 MAX_EIGEN_DIM = 4096
 
@@ -140,23 +140,21 @@ def resonance_set(spec: PropagatorSpec) -> ResonanceSet:
     bits.  When the mask is mirror-symmetric, A commutes with R too, and
     its spectrum is that of the even and odd blocks A11 + A12 J and
     A11 - A12 J, where J reverses dim/2 indices: two solves of half the
-    size, a quarter of the work.  Other masks solve A itself.
+    size, a quarter of the work.  The blocks come straight from the
+    closed form (parity_block) and are built and solved one at a time,
+    so A is never formed.  Other masks solve A itself.
 
     The returned values are read-only, as are those SpectrumCache loads,
     so a ResonanceSet never changes once made.
     """
     if spec.dim > MAX_EIGEN_DIM:
         raise ValueError(f"dimension {spec.dim} exceeds the solver cap {MAX_EIGEN_DIM}")
-    a = open_propagator(spec)
     keep, mirrored = spec.canonical_mask()
-    if mirrored:
-        a = a[::-1, ::-1]
     if (keep == keep[::-1]).all():
-        h = spec.dim // 2
-        a11, a12j = a[:h, :h], a[:h, h:][:, ::-1]
-        w = np.concatenate((eigenvalues(a11 + a12j), eigenvalues(a11 - a12j)))
+        w = np.concatenate([eigenvalues(parity_block(spec.dim, keep, s)) for s in (1, -1)])
     else:
-        w = eigenvalues(a)
+        a = open_propagator(spec)
+        w = eigenvalues(a[::-1, ::-1] if mirrored else a)
     w = sort_spectrum(w)
     w.setflags(write=False)
     return ResonanceSet(spec=spec, values=w)

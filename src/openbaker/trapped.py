@@ -269,7 +269,11 @@ def escape_rate(
             f"series ends at t={series.t_max}, fit window needs t={t_hi}"
         )
     if any(a == 0 for a in series.areas[t_lo : t_hi + 1]):
-        raise ValueError("survivor set vanished inside the fit window")
+        qc, dq = series.opening.q_c, series.opening.delta_q
+        raise ValueError(
+            f"survivor set of q_c={float(qc):g} delta_q={float(dq):g} vanished "
+            f"inside the fit window {t_lo}:{t_hi}"
+        )
     ts = np.arange(t_lo, t_hi + 1)
     y = -series.log_areas()[t_lo : t_hi + 1]
     slope, intercept = np.polyfit(ts, y, 1)

@@ -79,6 +79,34 @@ def test_classical_series_and_raster(tmp_path, capsys):
         assert pgm.read_bytes().startswith(b"P5\n32 32\n255\n")
 
 
+def test_classical_vanishing_series_fails_before_writing(tmp_path, capsys):
+    # delta_q = 1 leaves no survivors from t = 1 on, inside the default
+    # fit window 5:25; the delta_q = 0.1 sweep and series come first in
+    # the output order, yet nothing may be written
+    code, out, err = run(
+        ["classical", "--out", str(tmp_path), "--dq", "0.1,1", "--grid", "0:0.5:0.1",
+         "--series-qc", "0.3"],
+        capsys,
+    )
+    assert code == 2
+    assert err == (
+        "error: survivor set of q_c=0.3 delta_q=1 vanished inside the fit window 5:25\n"
+    )
+    assert out == ""
+    assert not list(tmp_path.glob("*.csv*"))
+
+
+def test_classical_makes_no_cache_directory(tmp_path, capsys):
+    argv = ["classical", "--out", str(tmp_path / "out"), "--dq", "0.1",
+            "--grid", "0.5:0.5:1"]
+    code, _, err = run(argv, capsys)
+    assert code == 0, err
+    assert not (tmp_path / "out" / "cache").exists()
+    code, _, err = run(argv + ["--cache", str(tmp_path / "spectra")], capsys)
+    assert code == 0, err
+    assert not (tmp_path / "spectra").exists()
+
+
 def test_fully_absorbing_opening_rasters_are_white(tmp_path, capsys):
     # delta_q = 1 leaves no survivors at all, so both rasters are empty
     code, out, err = run(

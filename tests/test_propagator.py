@@ -11,6 +11,7 @@ from openbaker.propagator import (
     baker_propagator,
     open_propagator,
     open_trace,
+    parity_block,
     propagator_diagonal,
 )
 from oracles import contains_q, gn_matrix, removed_count
@@ -128,3 +129,52 @@ def test_diagonal_shortcut(dim):
     assert np.abs(propagator_diagonal(dim) - np.diag(b)).max() < 1e-12
     spec = PropagatorSpec(dim, OpeningSpec(0.3, 0.1))
     assert abs(open_trace(spec) - np.trace(open_propagator(spec))) < 1e-10
+
+
+def symmetric_mask(spec) -> np.ndarray:
+    keep = spec.kept_mask()
+    assert (keep == keep[::-1]).all(), spec
+    return keep
+
+
+def sliced_blocks(a):
+    """A11 + A12 J and A11 - A12 J sliced from the full opened matrix."""
+    h = a.shape[0] // 2
+    a11, a12j = a[:h, :h], a[:h, h:][:, ::-1]
+    return a11 + a12j, a11 - a12j
+
+
+# N = 602 has an odd half size; (0.5, 0) is the closed map and (0, 0.4)
+# wraps through q = 0
+@pytest.mark.parametrize("dim", [2, 4, 602, 1262])
+@pytest.mark.parametrize(
+    "qc,dq", [("0.5", "0"), ("0", "0.4"), ("0.5", "0.1"), ("0.5", "0.15"), ("0.5", "0.2")]
+)
+def test_parity_blocks_are_slices_of_the_opened_matrix(dim, qc, dq):
+    spec = PropagatorSpec(dim, OpeningSpec(qc, dq))
+    keep = symmetric_mask(spec)
+    even, odd = sliced_blocks(open_propagator(spec))
+    for sign, expected in ((1, even), (-1, odd)):
+        block = parity_block(dim, keep, sign)
+        assert block.shape == (dim // 2, dim // 2)
+        # bit for bit, signed zeros included
+        assert block.tobytes() == np.ascontiguousarray(expected).tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 4, 6, 10, 16])
+def test_parity_blocks_match_definition(dim):
+    # every mirror-symmetric mask a strip can cut from the grid
+    b = definitional_propagator(dim)
+    masks = set()
+    for a in range(2 * dim):
+        for w in range(dim + 1):
+            opening = OpeningSpec(Fraction(a, 2 * dim), Fraction(w, dim))
+            keep = PropagatorSpec(dim, opening).kept_mask()
+            if (keep == keep[::-1]).all():
+                masks.add(tuple(keep))
+    assert len(masks) == dim
+    for mask in masks:
+        keep = np.array(mask)
+        even, odd = sliced_blocks(b * keep)
+        assert np.abs(parity_block(dim, keep, 1) - even).max() < 1e-12
+        assert np.abs(parity_block(dim, keep, -1) - odd).max() < 1e-12

@@ -1,5 +1,6 @@
 """Eigensolver wrapper, canonical ordering, and the slow oracle."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -166,3 +167,19 @@ def test_resonance_set_rejects_dimension_above_cap():
     # checked before the propagator is built, for symmetric masks as well
     with pytest.raises(ValueError, match="cap"):
         resonance_set(PropagatorSpec(spectra.MAX_EIGEN_DIM + 2, OpeningSpec("0.5", "0.2")))
+
+
+@pytest.mark.parametrize("qc,budget", [("0.5", 0.75), ("0.3", 1.25)])
+def test_solve_peak_memory(qc, budget):
+    # traced Python and numpy allocations of one solve at N = 1024, in
+    # units of one N x N complex matrix: the symmetric (0.5, 0.1) never
+    # forms it, the asymmetric (0.3, 0.1) forms it once with no temporaries
+    dim = 1024
+    spec = PropagatorSpec(dim, OpeningSpec(qc, "0.1"))
+    tracemalloc.start()
+    try:
+        resonance_set(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < budget * dim**2 * 16, peak / 2**20
