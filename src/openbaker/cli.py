@@ -147,14 +147,13 @@ def _emit(path: Path, args: argparse.Namespace) -> None:
 def _solve_many(specs, cache: SpectrumCache, jobs: int) -> dict:
     """Fill the cache for every spec, optionally with worker threads.
 
-    Workers overlap only inside LAPACK, and numpy's eigvals releases the
-    interpreter lock only for a matrix larger than 500 x 500, so threads
-    scale on full solves above N = 500 and on parity-split solves (two
-    calls on blocks of N/2) above N = 1000; below that they take turns.
-    While the pool runs, the BLAS threads are split among the workers
+    Workers overlap inside LAPACK, whose zgeev call (spectra.eigenvalues)
+    releases the interpreter lock at every size, so they overlap at every
+    N.  While the pool runs, the BLAS threads are split among the workers
     (split_blas_threads), so K workers do not each start the full count
-    on the same cores.  Results come back in a dict, keeping emission
-    order deterministic regardless of jobs.
+    on the same cores, and each worker solves the parity blocks of a
+    symmetric mask one after the other.  Results come back in a dict,
+    keeping emission order deterministic regardless of jobs.
 
     Specs sharing a cache entry (mirror openings, say) are solved or
     loaded once; each gets its own ResonanceSet over those values.
@@ -279,7 +278,7 @@ def cmd_stats(args, out: Path, cache: SpectrumCache) -> None:
             print(f"qc={_num(qc)}: gamma_cl={g:.5f}")
 
 
-def cmd_weyl(args, out: Path, cache: SpectrumCache) -> None:
+def cmd_weyl(args, out: Path, cache: SpectrumCache | None) -> None:
     if args.inject == "power-law":
         pts = synthetic_power_law_points()
         fit = weyl_fit(pts)
@@ -495,7 +494,7 @@ def main(argv=None) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cache = None
-    if args.command != "classical":
+    if args.command != "classical" and getattr(args, "inject", None) is None:
         cache = SpectrumCache(args.cache if args.cache else out / "cache")
     try:
         args.func(args, out, cache)

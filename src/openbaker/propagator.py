@@ -67,10 +67,13 @@ def _row_twist(j: np.ndarray) -> np.ndarray:
 
 
 def baker_propagator(dim: int) -> np.ndarray:
-    """Unitary quantization of the closed map on dim grid sites."""
+    """Unitary quantization of the closed map on dim grid sites.
+
+    Column-major, the layout LAPACK solves in place.
+    """
     _check_dim(dim)
     h = dim // 2
-    b = np.empty((dim, dim), dtype=complex)
+    b = np.empty((dim, dim), dtype=complex, order="F")
     b[:, :h] = _kernel_view(dim, dim, h, -2, -1)
     np.multiply(b[:, :h], _row_twist(np.arange(dim)[:, None]), out=b[:, h:])
     return b
@@ -106,14 +109,16 @@ class PropagatorSpec:
         return (keep[::-1] if mirrored else keep), mirrored
 
 
-def open_propagator(spec: PropagatorSpec) -> np.ndarray:
-    """Closed propagator with absorbed columns zeroed.
+def open_propagator(spec: PropagatorSpec, keep: np.ndarray | None = None) -> np.ndarray:
+    """Closed propagator with absorbed columns zeroed, column-major.
 
     Zeroing columns equals right-multiplying by the projector, with no
-    floating-point product involved.
+    floating-point product involved.  keep, spec's kept mask by default,
+    may be its mirror image: R B R = B bit for bit, so that gives R A R
+    without reversing A.
     """
     b = baker_propagator(spec.dim)
-    b[:, ~spec.kept_mask()] = 0
+    b[:, ~(spec.kept_mask() if keep is None else keep)] = 0
     return b
 
 
@@ -128,10 +133,13 @@ def parity_block(dim: int, keep: np.ndarray, sign: int) -> np.ndarray:
 
     with K the kernel table, the second term being column dim-1-k of B.
     The products and sums are those of slicing open_propagator, so the
-    entries agree with it bit for bit; only the h x h block is allocated.
+    entries agree with it bit for bit; only the h x h block is allocated,
+    column-major.
     """
     h = dim // 2
-    block = _kernel_view(dim, h, h, 2, 1 - dim) * _row_twist(np.arange(h)[:, None])
+    block = np.multiply(
+        _kernel_view(dim, h, h, 2, 1 - dim), _row_twist(np.arange(h)[:, None]), order="F"
+    )
     combine = np.add if sign > 0 else np.subtract
     combine(_kernel_view(dim, h, h, -2, -1), block, out=block)
     block[:, ~keep[:h]] = 0

@@ -1,15 +1,18 @@
 """Resonance spectra of the opened propagator.
 
-The workhorse is LAPACK's dense nonsymmetric solver (Hessenberg reduction
-plus implicitly shifted QR) through numpy.  The tests hold it to a
-from-scratch characteristic-polynomial oracle at tiny dimensions, which
-shares none of its machinery.
+The workhorse is LAPACK's dense nonsymmetric solver zgeev (Hessenberg
+reduction plus implicitly shifted QR), called through ctypes from the
+OpenBLAS numpy loaded.  The tests hold it to numpy's eigvals bit for bit
+and to a from-scratch characteristic-polynomial oracle at tiny
+dimensions, which shares none of its machinery.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -28,28 +31,112 @@ _OPENBLAS_THREAD_SYMBOLS = (
     ("openblas_get_num_threads", "openblas_set_num_threads"),
 )
 
+# LAPACK's complex eigensolver under the same names, each with the width
+# of the integers it takes: the 64_ suffix marks an ILP64 build
+_ZGEEV_SYMBOLS = (
+    ("scipy_zgeev_64_", ctypes.c_int64),
+    ("zgeev_64_", ctypes.c_int64),
+    ("zgeev_", ctypes.c_int32),
+)
+
+# held while split_blas_threads has the thread count divided
+_blas_split = threading.Lock()
+
 
 class EigensolverError(RuntimeError):
     """QR iteration did not converge within LAPACK's budget."""
 
 
-def eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a square complex matrix, unordered."""
+def eigenvalues(m: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    """Eigenvalues of a square complex matrix, unordered.
+
+    One call of LAPACK's zgeev, the routine np.linalg.eigvals runs on
+    complex input, with the same workspace, so at equal BLAS thread
+    counts the values are those of np.linalg.eigvals bit for bit.
+    Unlike numpy, the call releases the interpreter lock at every size.
+    With overwrite, a writable column-major complex128 m is solved in
+    place and left holding LAPACK's scratch; any other m is copied first.
+    Without a zgeev in the loaded OpenBLAS this is np.linalg.eigvals.
+    """
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] > MAX_EIGEN_DIM:
-        raise ValueError(
-            f"dimension {m.shape[0]} exceeds the solver cap {MAX_EIGEN_DIM}"
-        )
+    n = m.shape[0]
+    if n > MAX_EIGEN_DIM:
+        raise ValueError(f"dimension {n} exceeds the solver cap {MAX_EIGEN_DIM}")
     if not np.isfinite(m).all():
         raise ValueError("matrix contains non-finite entries")
-    try:
-        return np.linalg.eigvals(m)
-    except np.linalg.LinAlgError as exc:
+    lapack = _lapack_zgeev()
+    if lapack is None:
+        try:
+            return np.linalg.eigvals(m)
+        except np.linalg.LinAlgError as exc:
+            raise EigensolverError(
+                f"eigenvalue iteration failed on a {n}x{n} matrix: {exc}"
+            ) from exc
+    zgeev, fint = lapack
+    in_place = (overwrite and m.dtype == np.complex128
+                and m.flags.f_contiguous and m.flags.writeable)
+    a = m if in_place else np.array(m, dtype=np.complex128, order="F")
+    w = np.empty(n, dtype=np.complex128)
+    rwork = np.empty(2 * n)
+    size, lda, ldv, info = fint(n), fint(max(n, 1)), fint(1), fint(0)
+
+    def call(work, lwork):
+        zgeev(b"N", b"N", ctypes.byref(size), a.ctypes.data, ctypes.byref(lda),
+              w.ctypes.data, None, ctypes.byref(ldv), None, ctypes.byref(ldv),
+              work.ctypes.data, ctypes.byref(fint(lwork)), rwork.ctypes.data,
+              ctypes.byref(info))
+
+    query = np.zeros(1, dtype=np.complex128)
+    call(query, -1)
+    lwork = max(int(query[0].real), 1)
+    call(np.empty(lwork, dtype=np.complex128), lwork)
+    if info.value > 0:
         raise EigensolverError(
-            f"eigenvalue iteration failed on a {m.shape[0]}x{m.shape[0]} matrix: {exc}"
-        ) from exc
+            f"eigenvalue iteration failed on a {n}x{n} matrix: "
+            f"{info.value} eigenvalues did not converge"
+        )
+    if info.value < 0:
+        raise RuntimeError(f"zgeev rejected argument {-info.value}")
+    return w
+
+
+@functools.cache
+def _openblas_handles() -> tuple:
+    """Every OpenBLAS library mapped into the process, opened with ctypes.
+
+    On systems without /proc this is empty.
+    """
+    try:
+        with open("/proc/self/maps", encoding="ascii", errors="replace") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return ()
+    handles = []
+    for path in paths:
+        try:
+            handles.append(ctypes.CDLL(path))
+        except OSError:
+            continue
+    return tuple(handles)
+
+
+@functools.cache
+def _lapack_zgeev():
+    """(zgeev, its integer type) from the OpenBLAS numpy loaded, or None.
+
+    ctypes releases the interpreter lock for the length of each call.
+    """
+    for name, fint in _ZGEEV_SYMBOLS:
+        for handle in _openblas_handles():
+            zgeev = getattr(handle, name, None)
+            if zgeev is not None:
+                ptr = ctypes.c_void_p
+                zgeev.argtypes = [ctypes.c_char_p, ctypes.c_char_p] + [ptr] * 12
+                zgeev.restype = None
+                return zgeev, fint
+    return None
 
 
 @functools.cache
@@ -59,19 +146,8 @@ def _openblas_threads():
     The library is found among the files mapped into the process, so on
     systems without /proc, and with other BLAS vendors, this is None.
     """
-    try:
-        with open("/proc/self/maps", encoding="ascii", errors="replace") as fh:
-            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
-    except OSError:
-        return None
-    handles = []
-    for path in paths:
-        try:
-            handles.append(ctypes.CDLL(path))
-        except OSError:
-            continue
     for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
-        for handle in handles:
+        for handle in _openblas_handles():
             get, put = getattr(handle, get_name, None), getattr(handle, set_name, None)
             if get is not None and put is not None:
                 get.argtypes, get.restype = [], ctypes.c_int
@@ -88,20 +164,37 @@ def split_blas_threads(workers: int):
     where t is the count on entry, so the workers together start about as
     many threads as one solve did; t is restored on exit, also after an
     exception.  The count is process-wide and starts from the user's
-    OPENBLAS_NUM_THREADS and CPU affinity.  With a BLAS other than
-    OpenBLAS this does nothing.
+    OPENBLAS_NUM_THREADS and CPU affinity.  One split holds at a time,
+    and the workers must run inside it, so the count never changes while
+    one of their LAPACK calls runs.  With a BLAS other than OpenBLAS this
+    does nothing.
+    """
+    with _blas_split:
+        api = _openblas_threads()
+        if api is None:
+            yield
+            return
+        get, put = api
+        total = get()
+        put(max(1, total // workers))
+        try:
+            yield
+        finally:
+            put(total)
+
+
+def _owns_blas_threads() -> bool:
+    """True when no split is active and one solve would get >= 2 threads.
+
+    Only then do two lock-free solves side by side use more of the cores.
     """
     api = _openblas_threads()
-    if api is None:
-        yield
-        return
-    get, put = api
-    total = get()
-    put(max(1, total // workers))
-    try:
-        yield
-    finally:
-        put(total)
+    return (
+        api is not None
+        and _lapack_zgeev() is not None
+        and not _blas_split.locked()
+        and api[0]() >= 2
+    )
 
 
 def sort_spectrum(w: np.ndarray) -> np.ndarray:
@@ -135,26 +228,47 @@ def resonance_set(spec: PropagatorSpec) -> ResonanceSet:
 
     The closed propagator commutes with the reflection R: j -> dim-1-j,
     so the opened one, A, is solved for the canonical kept mask
-    (PropagatorSpec.canonical_mask): R A R when the spec's own mask is
-    the mirror image.  An opening and its mirror image thus get the same
-    bits.  When the mask is mirror-symmetric, A commutes with R too, and
-    its spectrum is that of the even and odd blocks A11 + A12 J and
-    A11 - A12 J, where J reverses dim/2 indices: two solves of half the
-    size, a quarter of the work.  The blocks come straight from the
-    closed form (parity_block) and are built and solved one at a time,
-    so A is never formed.  Other masks solve A itself.
+    (PropagatorSpec.canonical_mask): R A R, which is B with the mirrored
+    columns zeroed, when the spec's own mask is the mirror image.  An
+    opening and its mirror image thus get the same bits.  When the mask
+    is mirror-symmetric, A commutes with R too, and its spectrum is that
+    of the even and odd blocks A11 + A12 J and A11 - A12 J, where J
+    reverses dim/2 indices: two solves of half the size, a quarter of the
+    work.  The blocks come straight from the closed form (parity_block),
+    so A is never formed, and each is solved in place (_parity_spectrum).
+    Other masks solve A itself, in place, on the thread count they are
+    given.
 
     The returned values are read-only, as are those SpectrumCache loads,
     so a ResonanceSet never changes once made.
     """
     if spec.dim > MAX_EIGEN_DIM:
         raise ValueError(f"dimension {spec.dim} exceeds the solver cap {MAX_EIGEN_DIM}")
-    keep, mirrored = spec.canonical_mask()
+    keep, _ = spec.canonical_mask()
     if (keep == keep[::-1]).all():
-        w = np.concatenate([eigenvalues(parity_block(spec.dim, keep, s)) for s in (1, -1)])
+        w = _parity_spectrum(spec.dim, keep)
     else:
-        a = open_propagator(spec)
-        w = eigenvalues(a[::-1, ::-1] if mirrored else a)
+        w = eigenvalues(open_propagator(spec, keep), overwrite=True)
     w = sort_spectrum(w)
     w.setflags(write=False)
     return ResonanceSet(spec=spec, values=w)
+
+
+def _parity_spectrum(dim: int, keep: np.ndarray) -> np.ndarray:
+    """Even then odd block eigenvalues of a mirror-symmetric opening.
+
+    Each block is built and solved in place by one thread.  When this
+    solve owns the process's BLAS threads, the two blocks run side by
+    side on half of them each; inside a split (the --jobs pool) or on one
+    thread they run one after the other, so only one block is alive at a
+    time.
+    """
+    def solve(sign: int) -> np.ndarray:
+        return eigenvalues(parity_block(dim, keep, sign), overwrite=True)
+
+    if not _owns_blas_threads():
+        return np.concatenate([solve(1), solve(-1)])
+    with split_blas_threads(2), ThreadPoolExecutor(max_workers=1) as pool:
+        odd = pool.submit(solve, -1)
+        even = solve(1)
+        return np.concatenate([even, odd.result()])

@@ -337,8 +337,9 @@ def matched_gap(a, b, floor) -> float:
 
 
 def test_concurrent_solves_match_serial_ones(tmp_path, capsys, monkeypatch):
-    # above N = 500 numpy's eigvals drops the interpreter lock, so the two
-    # workers really solve at the same time, each on its share of the BLAS
+    # spectra.eigenvalues drops the interpreter lock inside LAPACK at every
+    # size, so the two workers really solve at the same time, each on its
+    # share of the BLAS
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     caches = {}
     for jobs in ("2", "1"):
@@ -421,6 +422,17 @@ def test_weyl_selftest(tmp_path, capsys):
     assert "self-test" in out
     assert (tmp_path / "weyl_synthetic.csv").exists()
     assert (tmp_path / "weyl_fit_synthetic.txt").exists()
+
+
+def test_weyl_selftest_makes_no_cache_directory(tmp_path, capsys):
+    # the synthetic self-test solves nothing, so it opens no spectrum cache
+    argv = ["weyl", "--inject", "power-law", "--out", str(tmp_path / "out")]
+    code, _, err = run(argv, capsys)
+    assert code == 0, err
+    assert sorted(p.name for p in (tmp_path / "out").iterdir() if p.is_dir()) == []
+    code, _, err = run(argv + ["--cache", str(tmp_path / "spectra")], capsys)
+    assert code == 0, err
+    assert not (tmp_path / "spectra").exists()
 
 
 def test_weyl_requires_opening_without_inject(tmp_path, capsys):
