@@ -12,7 +12,6 @@ from __future__ import annotations
 import ctypes
 import functools
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -268,6 +267,10 @@ def _parity_spectrum(dim: int, keep: np.ndarray) -> np.ndarray:
 
     if not _owns_blas_threads():
         return np.concatenate([solve(1), solve(-1)])
+    # imported on first use: loaded with the package it adds about 0.4 MB
+    # to the peak RSS of every run, also of those that solve nothing
+    from concurrent.futures import ThreadPoolExecutor
+
     with split_blas_threads(2), ThreadPoolExecutor(max_workers=1) as pool:
         odd = pool.submit(solve, -1)
         even = solve(1)
