@@ -256,11 +256,10 @@ def resonance_set(spec: PropagatorSpec) -> ResonanceSet:
 def _parity_spectrum(dim: int, keep: np.ndarray) -> np.ndarray:
     """Even then odd block eigenvalues of a mirror-symmetric opening.
 
-    Each block is built and solved in place by one thread.  When this
-    solve owns the process's BLAS threads, the two blocks run side by
-    side on half of them each; inside a split (the --jobs pool) or on one
-    thread they run one after the other, so only one block is alive at a
-    time.
+    Each block is solved in place.  When this solve owns the process's
+    BLAS threads, the two blocks run side by side on half of them each;
+    inside a split (the --jobs pool) or on one thread they are built and
+    solved one after the other, so only one block is alive at a time.
     """
     def solve(sign: int) -> np.ndarray:
         return eigenvalues(parity_block(dim, keep, sign), overwrite=True)
@@ -271,7 +270,10 @@ def _parity_spectrum(dim: int, keep: np.ndarray) -> np.ndarray:
     # to the peak RSS of every run, also of those that solve nothing
     from concurrent.futures import ThreadPoolExecutor
 
+    # both blocks are built here, so the large arrays come from this
+    # thread's malloc arena; built on the worker, they went to a second
+    # arena whose kept pages made peak RSS depend on the earlier sizes
+    even, odd = parity_block(dim, keep, 1), parity_block(dim, keep, -1)
     with split_blas_threads(2), ThreadPoolExecutor(max_workers=1) as pool:
-        odd = pool.submit(solve, -1)
-        even = solve(1)
-        return np.concatenate([even, odd.result()])
+        odd_w = pool.submit(eigenvalues, odd, True)
+        return np.concatenate([eigenvalues(even, overwrite=True), odd_w.result()])

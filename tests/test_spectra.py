@@ -329,6 +329,24 @@ def test_symmetric_solve_pairs_blocks_only_when_it_owns_the_blas_threads(monkeyp
     assert calls == [(True, 4)] and blas.sets == [2, 4, 2, 4]
 
 
+def test_paired_solve_builds_both_blocks_on_the_calling_thread(monkeypatch):
+    # a block built on the worker came from a second malloc arena, whose
+    # kept pages made a run's peak RSS depend on the sizes solved before it
+    monkeypatch.setattr(spectra, "_lapack_zgeev", lambda: "a resolved zgeev")
+    calls = record_solves(monkeypatch, FakeBlas(4))
+    built = []
+    build = spectra.parity_block
+
+    def recording(dim, keep, sign):
+        built.append((threading.current_thread() is threading.main_thread(), sign))
+        return build(dim, keep, sign)
+
+    monkeypatch.setattr(spectra, "parity_block", recording)
+    resonance_set(SYMMETRIC)
+    assert built == [(True, 1), (True, -1)]
+    assert sorted(calls) == [(False, 2), (True, 2)]
+
+
 def test_paired_solve_restores_blas_threads_when_a_block_raises(monkeypatch):
     monkeypatch.setattr(spectra, "_lapack_zgeev", lambda: "a resolved zgeev")
     blas = FakeBlas(2)
