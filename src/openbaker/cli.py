@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import shutil
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -44,6 +43,7 @@ from .stats import (
 from .trapped import (
     DEFAULT_FIT_RANGE,
     ResolutionExhausted,
+    _available_cores,
     area_series,
     escape_rate,
     exact_escape,
@@ -162,7 +162,7 @@ def _solve_many(specs, cache: SpectrumCache, jobs: int) -> dict:
     for spec in specs:
         first.setdefault(cache_key(spec), spec)
     unique = list(first.values())
-    workers = min(jobs, os.cpu_count() or 1, len(unique))
+    workers = min(jobs, _available_cores(), len(unique))
     if workers <= 1:
         solved = [cache.get_or_compute(spec)[0] for spec in unique]
     else:

@@ -19,7 +19,10 @@ projector runs on the grid sites.  No pixel verdict is rounded.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -36,9 +39,14 @@ DEFAULT_FIT_RANGE = (5, 25)
 MAX_CELLS = 4096
 
 _LN2 = math.log(2.0)
-# rng.random draws doubles k / 2^53; Monte Carlo chunks of 2^16 samples
-# (512 KiB of uint64) stay in L2 and were the fastest size measured
+# rng.random turns each raw 64-bit word w into k / 2^53 with k = w >> 11;
+# the sampler holds k * 2^11, w with its low 11 bits cleared.  Chunks hold
+# 2^16 samples (512 KiB of uint64): the benchmark's two calls (t = 25,
+# 5e6 samples each) took 0.74, 0.50, 0.40, 0.37 and 0.44 s at chunks of
+# 2^14 .. 2^18 on two cores (medians of 11), and 2^17 held about 5 MB
+# more peak RSS than 2^16 for its 7%
 _MC_SCALE = 2**53
+_MC_SHIFT = 11
 _MC_CHUNK = 2**16
 
 
@@ -222,7 +230,18 @@ def exact_escape(opening: OpeningSpec) -> ExactEscape:
     components of M.  A component in which every cell maps onto exactly
     one cell of it is a cycle, a permutation block with rho = 1 exactly;
     the rest go to a dense eigensolve.
+
+    The mirror image q -> 1 - q conjugates the doubling map to itself, so
+    an opening and its mirror share rho.  Both are solved as the one with
+    q_c <= 1/2, which gives them the same bits, once per process.
     """
+    if opening.q_c > Fraction(1, 2):
+        opening = OpeningSpec(1 - opening.q_c, opening.delta_q)
+    return _exact_escape(opening)
+
+
+@functools.lru_cache(maxsize=256)
+def _exact_escape(opening: OpeningSpec) -> ExactEscape:
     if opening.delta_q == 0:
         # Lebesgue measure is invariant: M maps the cell lengths to twice
         # themselves, a positive eigenvector, so rho = 2
@@ -286,37 +305,71 @@ def escape_rate(
     )
 
 
+def _available_cores() -> int:
+    """Cores this process may run on: its CPU affinity, else the host's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def monte_carlo_area(
     opening: OpeningSpec, t: int, n_samples: int, seed: int = 0
 ) -> tuple[float, float]:
     """Survivor-area estimate and its standard error from uniform samples.
 
     Every uniform double from ``rng.random`` is k / 2^53 for an integer k,
-    so the orbits run on those integers: doubling mod 1 is a left shift
-    of k mod 2^53, and the hole is the modular window OpeningSpec.window
-    gives at den = 2^53.  The only approximation relative to the exact
-    areas is the sample noise.  Samples are drawn in chunks of _MC_CHUNK
-    from one stream, so memory stays fixed in n_samples and the result
-    does not depend on the chunk size.
+    the top 53 bits of one raw word of the stream, so the orbits run on
+    those integers, read straight from ``random_raw``: held as k 2^11 in
+    uint64, doubling mod 1 is a left shift that wraps mod 2^64, and the
+    hole is the modular window OpeningSpec.window gives at den = 2^53,
+    scaled by 2^11.  The only approximation relative to the exact areas
+    is the sample noise.
+
+    The calling thread draws chunks of _MC_CHUNK words in order from one
+    stream, and a pool with one thread per available core counts their
+    survivors, at most two chunks per thread in flight.  A sum of integer
+    counts does not depend on the order, so the result depends on neither
+    the chunk size nor the core count, and memory stays fixed in
+    n_samples.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")
-    low, window = opening.window(_MC_SCALE)
-    low, window, mask = np.uint64(low), np.uint64(window), np.uint64(_MC_SCALE - 1)
-    rng = np.random.default_rng(seed)
-    survivors = 0
-    for start in range(0, n_samples, _MC_CHUNK):
-        m = min(_MC_CHUNK, n_samples - start)
-        k = (rng.random(m) * _MC_SCALE).astype(np.uint64)
+    low, width = opening.window(_MC_SCALE)
+    if width == _MC_SCALE:
+        # every sample starts in the hole, and a window of 2^53 does not fit
+        # in 64 bits once scaled
+        return 0.0, 0.0
+    # low is 2^53, one full turn, when the left edge rounds up to 1
+    low = np.uint64((low % _MC_SCALE) << _MC_SHIFT)
+    width = np.uint64(width << _MC_SHIFT)
+    clear = np.uint64(2**64 - 2**_MC_SHIFT)
+    one = np.uint64(1)
+
+    def survivors(x: np.ndarray) -> int:
         for _ in range(t + 1):
-            k = k[((k - low) & mask) >= window]
-            # the window test reads k mod 2^53 only, and uint64 wraps mod
-            # 2^64, a multiple of 2^53, so doubling needs no mask of its own
-            k <<= np.uint64(1)
-        survivors += k.size
-    p = survivors / n_samples
+            x = x[x - low >= width]
+            x <<= one
+        return x.size
+
+    # imported on first use, like the pool of the paired parity solve
+    from concurrent.futures import ThreadPoolExecutor
+
+    workers = _available_cores()
+    bits = np.random.default_rng(seed).bit_generator
+    count = 0
+    pending = deque()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for start in range(0, n_samples, _MC_CHUNK):
+            if len(pending) == 2 * workers:
+                count += pending.popleft().result()
+            x = bits.random_raw(min(_MC_CHUNK, n_samples - start))
+            x &= clear
+            pending.append(pool.submit(survivors, x))
+        count += sum(f.result() for f in pending)
+    p = count / n_samples
     return p, math.sqrt(p * (1.0 - p) / n_samples)
 
 
@@ -375,10 +428,20 @@ def render_trapped_set(
         k = centres + den * digits[:, None]
         den <<= t
     low, width = opening.window(den)
-    trapped = np.ones(k.shape, dtype=bool)
-    for _ in range(t + 1):
-        trapped &= (k - low) % den >= width
-        k = 2 * k % den
+    # d = (k - low) mod den, and doubling k sends d to (2d + low) mod den,
+    # taken as 2d - (den - low) in [-den, 2 den) and folded back by one
+    # conditional add and one conditional subtract: no modulo, and every
+    # value stays below 2^63 at den = 2^62
+    d = k - low
+    np.add(d, den, out=d, where=d < 0)
+    back = den - low
+    trapped = d >= width
+    for _ in range(t):
+        d <<= 1
+        d -= back
+        np.add(d, den, out=d, where=d < 0)
+        np.subtract(d, den, out=d, where=d >= den)
+        trapped &= d >= width
     if mode == "initial":
         trapped = np.tile(trapped, (resolution, 1))
     return trapped[::-1]

@@ -260,21 +260,21 @@ def test_solve_many_caps_workers(monkeypatch):
     monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
     monkeypatch.setattr(spectra, "_openblas_threads", lambda: (blas.get, blas.set))
     specs = [1, 2, 3, 4, 5]
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_available_cores", lambda: 2)
     assert solve_many(specs, 64) == {s: 10 * s for s in specs}
     assert started == [2]
     # the two workers share the 5 threads, 2 each, and the 5 come back after
     assert blas.sets == [2, 5] and seen == [2] * 5 and blas.threads == 5
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(cli, "_available_cores", lambda: 8)
     assert solve_many([1, 2, 2, 1], 5) == {1: 10, 2: 20}
     assert started == [2, 2]
     assert blas.sets == [2, 5, 2, 5]
-    # an unknown core count, --jobs 1 and a single distinct spec run
+    # one available core, --jobs 1 and a single distinct spec run
     # serially, without a pool and on the full thread count
     seen.clear()
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    monkeypatch.setattr(cli, "_available_cores", lambda: 1)
     assert solve_many(specs, 4) == {s: 10 * s for s in specs}
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(cli, "_available_cores", lambda: 8)
     assert solve_many(specs, 1) == {s: 10 * s for s in specs}
     assert solve_many([3, 3], 4) == {3: 30}
     assert started == [2, 2]
@@ -289,6 +289,24 @@ def test_solve_many_caps_workers(monkeypatch):
     assert started[-1] == 5 and len(blas.sets) == 6
 
 
+def test_jobs_are_capped_by_the_cpu_affinity(monkeypatch):
+    # a process pinned to one core of an 8-core host solves serially
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5}, raising=False)
+    monkeypatch.setattr(cli, "cache_key", lambda spec: spec)
+
+    def no_pool(max_workers):
+        raise AssertionError(f"started a pool of {max_workers}")
+
+    class FakeCache:
+        def get_or_compute(self, spec):
+            return ResonanceSet(spec, 10 * spec), False
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
+    solved = cli._solve_many([1, 2, 3], FakeCache(), 4)
+    assert {spec: rs.values for spec, rs in solved.items()} == {1: 10, 2: 20, 3: 30}
+
+
 def test_solve_many_restores_blas_threads_when_a_solve_raises(monkeypatch):
     blas = FakeBlas(4)
 
@@ -300,7 +318,7 @@ def test_solve_many_restores_blas_threads_when_a_solve_raises(monkeypatch):
 
     monkeypatch.setattr(cli, "cache_key", lambda spec: spec)
     monkeypatch.setattr(spectra, "_openblas_threads", lambda: (blas.get, blas.set))
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_available_cores", lambda: 2)
     with pytest.raises(EigensolverError):
         cli._solve_many([1, 2, 3], FailingCache(), 2)
     assert blas.sets == [2, 4] and blas.threads == 4
@@ -320,7 +338,7 @@ def test_solve_many_restores_the_real_blas_thread_count(tmp_path, monkeypatch):
         return compute(self, spec)
 
     monkeypatch.setattr(SpectrumCache, "get_or_compute", recording)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool even on one core
+    monkeypatch.setattr(cli, "_available_cores", lambda: 2)  # a pool even on one core
     specs = [PropagatorSpec(dim, OpeningSpec("0.3", "0.2")) for dim in (16, 18)]
     solved = cli._solve_many(specs, SpectrumCache(tmp_path), jobs=2)
     assert list(solved) == specs
@@ -340,7 +358,7 @@ def test_concurrent_solves_match_serial_ones(tmp_path, capsys, monkeypatch):
     # spectra.eigenvalues drops the interpreter lock inside LAPACK at every
     # size, so the two workers really solve at the same time, each on its
     # share of the BLAS
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_available_cores", lambda: 2)
     caches = {}
     for jobs in ("2", "1"):
         cache = tmp_path / f"cache{jobs}"
@@ -526,7 +544,7 @@ def test_mirror_openings_solve_and_load_once(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr("openbaker.cache.resonance_set", counting_solve)
     monkeypatch.setattr(SpectrumCache, "get_or_compute", counting_get)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_available_cores", lambda: 2)
     out = tmp_path / "out"
     code, _, err = run(["stats", "cumulative", "--out", str(out), "--n", "64",
                         "--qc", "0.3,0.7", "--dq", "0.1", "--jobs", "2"], capsys)

@@ -1,6 +1,9 @@
 """Exact survivor sets, areas, fits and the sampling cross-check."""
 
 import math
+import os
+import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -197,6 +200,25 @@ def test_exact_escape_special_values():
         exact_escape(OpeningSpec(0.5, 1))
 
 
+@pytest.mark.parametrize(
+    "qc, dq",
+    [("0.1234", "0.0567"), ("0.02", "0.1"), ("0.97", "0.1"), ("0.3", "0.1"), ("0.5", "0.2")],
+)
+def test_mirror_openings_share_their_exact_escape(qc, dq):
+    # (0.02, 0.1) and the mirror of (0.97, 0.1) wrap through q = 0
+    o = OpeningSpec(qc, dq)
+    mirror = OpeningSpec(1 - o.q_c, dq)
+    first = exact_escape(o)
+    hits = trapped._exact_escape.cache_info().hits
+    assert exact_escape(mirror) == first
+    assert trapped._exact_escape.cache_info().hits == hits + 1
+
+
+def test_exact_escape_keeps_the_bits_of_openings_left_of_one_half():
+    assert exact_escape(OpeningSpec("0.1234", "0.0567")).rho == 1.8836255269196236
+    assert exact_escape(OpeningSpec("0.8766", "0.0567")).rho == 1.8836255269196236
+
+
 def test_monte_carlo_matches_exact():
     o = OpeningSpec(0.5, 0.1)
     exact = float(area_series(o, 3).areas[3])
@@ -239,6 +261,86 @@ def test_monte_carlo_chunk_size_invariance(monkeypatch):
     assert whole == monte_carlo_area_float(o, 6, 100_003, seed=9)
     monkeypatch.setattr(trapped, "_MC_CHUNK", 2**10)
     assert monte_carlo_area(o, 6, 100_003, seed=9) == whole
+
+
+def test_available_cores_reads_the_cpu_affinity(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {2, 5}, raising=False)
+    assert trapped._available_cores() == 2
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert trapped._available_cores() == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert trapped._available_cores() == 1
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_monte_carlo_result_does_not_depend_on_the_workers(monkeypatch, workers):
+    # 98 chunks turn the window of 2 chunks per worker over many times
+    o = OpeningSpec(0.31, 0.1)
+    monkeypatch.setattr(trapped, "_available_cores", lambda: workers)
+    monkeypatch.setattr(trapped, "_MC_CHUNK", 2**10)
+    assert monte_carlo_area(o, 6, 100_003, seed=9) == monte_carlo_area_float(o, 6, 100_003, seed=9)
+
+
+@pytest.mark.parametrize("seed", [0, 9, 20260825])
+def test_random_doubles_are_the_top_53_bits_of_the_raw_stream(seed):
+    # the sampler reads random_raw and relies on rng.random's w >> 11
+    m = 10_001
+    doubles = np.random.default_rng(seed).random(m)
+    raw = np.random.default_rng(seed).bit_generator.random_raw(m)
+    assert ((doubles * 2**53).astype(np.uint64) == raw >> np.uint64(11)).all()
+
+
+def test_monte_carlo_memory_stays_within_the_chunks_in_flight(monkeypatch):
+    # 2 workers hold at most 4 chunks in flight and about 2 more each as
+    # working copies; drawing all 2e6 samples up front would hold 16 MB
+    monkeypatch.setattr(trapped, "_available_cores", lambda: 2)
+    chunk_bytes = 8 * trapped._MC_CHUNK
+    monte_carlo_area(OpeningSpec(0.31, 0.1), 1, 10)  # imports the pool
+    tracemalloc.start()
+    try:
+        monte_carlo_area(OpeningSpec(0.31, 0.1), 25, 2 * 10**6, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * chunk_bytes
+
+
+def test_monte_carlo_joins_its_threads_also_when_a_chunk_raises(monkeypatch):
+    before = set(threading.enumerate())
+    monte_carlo_area(OpeningSpec(0.5, 0.1), 3, 10**5, seed=2)
+    assert set(threading.enumerate()) == before
+
+    class Poisoned(np.ndarray):
+        def __getitem__(self, key):
+            raise RuntimeError("bad chunk")
+
+    default_rng = np.random.default_rng
+
+    class Stream:
+        def __init__(self, seed):
+            self.bits = default_rng(seed).bit_generator
+            self.drawn = 0
+
+        def random_raw(self, m):
+            self.drawn += 1
+            x = self.bits.random_raw(m)
+            return x.view(Poisoned) if self.drawn == 3 else x
+
+    monkeypatch.setattr(trapped, "_MC_CHUNK", 2**10)
+    monkeypatch.setattr(
+        np.random, "default_rng", lambda seed: type("Rng", (), {"bit_generator": Stream(seed)})
+    )
+    with pytest.raises(RuntimeError, match="bad chunk"):
+        monte_carlo_area(OpeningSpec(0.5, 0.1), 3, 10**5, seed=2)
+    assert set(threading.enumerate()) == before
+
+
+def test_monte_carlo_edges_next_to_one():
+    # both edges round up to 2^53, one full turn: an empty window at low = 0
+    o = OpeningSpec("0.99999999999999999999", "0.00000000000000000001")
+    assert o.window(2**53) == (2**53, 0)
+    assert monte_carlo_area(o, 4, 1000) == monte_carlo_area_float(o, 4, 1000) == (1.0, 0.0)
 
 
 def test_qc_sweep_grid():
