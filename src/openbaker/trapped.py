@@ -354,7 +354,8 @@ def monte_carlo_area(
             x <<= one
         return x.size
 
-    # imported on first use, like the pool of the paired parity solve
+    # imported on first use, as in spectra: importing openbaker alone does
+    # not load it
     from concurrent.futures import ThreadPoolExecutor
 
     workers = _available_cores()
