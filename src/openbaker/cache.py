@@ -25,8 +25,9 @@ from .csvio import read_spectrum_csv, sha256_file, write_spectrum_csv
 from .propagator import PropagatorSpec, open_trace
 from .spectra import ResonanceSet, resonance_set
 
-# bump when the solver or the payload's number format (csvio) changes
-SOLVER_VERSION = 3
+# bump when the solver or the payload's number format (csvio) changes;
+# 4: every block solved on one BLAS thread
+SOLVER_VERSION = 4
 
 TRACE_TOL_PER_DIM = 1e-8
 

@@ -16,7 +16,6 @@ import argparse
 import math
 import shutil
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
@@ -25,7 +24,7 @@ from . import csvio
 from .cache import CacheError, SpectrumCache, cache_key
 from .classical import OpeningSpec, as_fraction
 from .propagator import PropagatorSpec
-from .spectra import MAX_EIGEN_DIM, EigensolverError, ResonanceSet, split_blas_threads
+from .spectra import MAX_EIGEN_DIM, EigensolverError, ResonanceSet, resonance_sets
 from .stats import (
     DEFAULT_BIN_WIDTH,
     DEFAULT_NU_CUT,
@@ -43,7 +42,6 @@ from .stats import (
 from .trapped import (
     DEFAULT_FIT_RANGE,
     ResolutionExhausted,
-    _available_cores,
     area_series,
     escape_rate,
     exact_escape,
@@ -145,30 +143,22 @@ def _emit(path: Path, args: argparse.Namespace) -> None:
 
 
 def _solve_many(specs, cache: SpectrumCache, jobs: int) -> dict:
-    """Fill the cache for every spec, optionally with worker threads.
-
-    Workers overlap inside LAPACK, whose zgeev call (spectra.eigenvalues)
-    releases the interpreter lock at every size, so they overlap at every
-    N.  While the pool runs, the BLAS threads are split among the workers
-    (split_blas_threads), so K workers do not each start the full count
-    on the same cores, and each worker solves the parity blocks of a
-    symmetric mask one after the other.  Results come back in a dict,
-    keeping emission order deterministic regardless of jobs.
+    """Fill the cache for every spec and return {spec: ResonanceSet}.
 
     Specs sharing a cache entry (mirror openings, say) are solved or
-    loaded once; each gets its own ResonanceSet over those values.
+    loaded once; each gets its own ResonanceSet over those values.  Each
+    miss is stored and read back while the rest solve, so hits and misses
+    alike hand on the verified parse-back of the stored CSV.
     """
     first = {}
     for spec in specs:
         first.setdefault(cache_key(spec), spec)
-    unique = list(first.values())
-    workers = min(jobs, _available_cores(), len(unique))
-    if workers <= 1:
-        solved = [cache.get_or_compute(spec)[0] for spec in unique]
-    else:
-        with split_blas_threads(workers), ThreadPoolExecutor(max_workers=workers) as pool:
-            solved = list(pool.map(lambda s: cache.get_or_compute(s)[0], unique))
-    values = {key: rs.values for key, rs in zip(first, solved)}
+    hits = {key: spec for key, spec in first.items() if cache.has(spec)}
+    values = {key: cache.load(spec).values for key, spec in hits.items()}
+    misses = [spec for key, spec in first.items() if key not in hits]
+    for rs in resonance_sets(misses, jobs):
+        cache.store(rs.spec, rs)
+        values[cache_key(rs.spec)] = cache.load(rs.spec).values
     return {spec: ResonanceSet(spec, values[cache_key(spec)]) for spec in specs}
 
 
@@ -345,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--cache", default=None,
                         help="spectrum cache directory (default: OUT/cache)")
     common.add_argument("--jobs", type=_jobs, default=1,
-                        help="concurrent eigensolves for sweeps")
+                        help="spectra solved at once (bounds memory; the cores set the threads)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("classical", parents=[common],

@@ -14,10 +14,13 @@ import functools
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterator
 
 import numpy as np
 
 from .propagator import PropagatorSpec, open_propagator, parity_block
+from .trapped import _available_cores
 
 MAX_EIGEN_DIM = 4096
 
@@ -38,8 +41,8 @@ _ZGEEV_SYMBOLS = (
     ("zgeev_", ctypes.c_int32),
 )
 
-# held while split_blas_threads has the thread count divided
-_blas_split = threading.Lock()
+# held while _one_blas_thread has the thread count at one
+_blas_lock = threading.Lock()
 
 
 class EigensolverError(RuntimeError):
@@ -156,44 +159,24 @@ def _openblas_threads():
 
 
 @contextmanager
-def split_blas_threads(workers: int):
-    """Share the BLAS threads among `workers` concurrent solves.
+def _one_blas_thread():
+    """Hold OpenBLAS at one thread, restoring the count on exit.
 
-    Inside the block every solve runs on max(1, t // workers) threads,
-    where t is the count on entry, so the workers together start about as
-    many threads as one solve did; t is restored on exit, also after an
-    exception.  The count is process-wide and starts from the user's
-    OPENBLAS_NUM_THREADS and CPU affinity.  One split holds at a time,
-    and the workers must run inside it, so the count never changes while
-    one of their LAPACK calls runs.  With a BLAS other than OpenBLAS this
-    does nothing.
+    The count is process-wide, hence the lock: one holder at a time.  With
+    a BLAS other than OpenBLAS the count is left alone.
     """
-    with _blas_split:
+    with _blas_lock:
         api = _openblas_threads()
         if api is None:
             yield
             return
         get, put = api
         total = get()
-        put(max(1, total // workers))
+        put(1)
         try:
             yield
         finally:
             put(total)
-
-
-def _owns_blas_threads() -> bool:
-    """True when no split is active and one solve would get >= 2 threads.
-
-    Only then do two lock-free solves side by side use more of the cores.
-    """
-    api = _openblas_threads()
-    return (
-        api is not None
-        and _lapack_zgeev() is not None
-        and not _blas_split.locked()
-        and api[0]() >= 2
-    )
 
 
 def sort_spectrum(w: np.ndarray) -> np.ndarray:
@@ -223,7 +206,13 @@ class ResonanceSet:
 
 
 def resonance_set(spec: PropagatorSpec) -> ResonanceSet:
-    """Solve one opened propagator.
+    """Solve one opened propagator; see resonance_sets."""
+    (rs,) = resonance_sets([spec])
+    return rs
+
+
+def _blocks(spec: PropagatorSpec) -> Iterator[np.ndarray]:
+    """The matrices whose spectra make up spec's, built one at a time.
 
     The closed propagator commutes with the reflection R: j -> dim-1-j,
     so the opened one, A, is solved for the canonical kept mask
@@ -234,46 +223,65 @@ def resonance_set(spec: PropagatorSpec) -> ResonanceSet:
     of the even and odd blocks A11 + A12 J and A11 - A12 J, where J
     reverses dim/2 indices: two solves of half the size, a quarter of the
     work.  The blocks come straight from the closed form (parity_block),
-    so A is never formed, and each is solved in place (_parity_spectrum).
-    Other masks solve A itself, in place, on the thread count they are
-    given.
-
-    The returned values are read-only, as are those SpectrumCache loads,
-    so a ResonanceSet never changes once made.
+    so A is never formed.  Other masks give A itself.
     """
-    if spec.dim > MAX_EIGEN_DIM:
-        raise ValueError(f"dimension {spec.dim} exceeds the solver cap {MAX_EIGEN_DIM}")
     keep, _ = spec.canonical_mask()
     if (keep == keep[::-1]).all():
-        w = _parity_spectrum(spec.dim, keep)
+        yield parity_block(spec.dim, keep, 1)
+        yield parity_block(spec.dim, keep, -1)
     else:
-        w = eigenvalues(open_propagator(spec, keep), overwrite=True)
-    w = sort_spectrum(w)
-    w.setflags(write=False)
-    return ResonanceSet(spec=spec, values=w)
+        yield open_propagator(spec, keep)
 
 
-def _parity_spectrum(dim: int, keep: np.ndarray) -> np.ndarray:
-    """Even then odd block eigenvalues of a mirror-symmetric opening.
+def resonance_sets(specs, jobs: int = 1) -> Iterator[ResonanceSet]:
+    """Solve each spec, yielding its read-only ResonanceSet as it finishes.
 
-    Each block is solved in place.  When this solve owns the process's
-    BLAS threads, the two blocks run side by side on half of them each;
-    inside a split (the --jobs pool) or on one thread they are built and
-    solved one after the other, so only one block is alive at a time.
+    Every block (_blocks) is built on the calling thread (built on a
+    worker, it came from a second malloc arena, and peak RSS then
+    depended on earlier sizes) and solved in place on one pool with a
+    thread per available core, at one BLAS thread, so the bits depend on
+    neither jobs nor the core count.  The blocks of at most
+    min(jobs, cores) specs are alive; the next is handed out before a
+    finished spec is yielded, so the consumer's work overlaps the solves.
+    Finished, raised or closed early, the pool is joined and the count
+    restored.  A consumer must not solve inside the loop.
     """
-    def solve(sign: int) -> np.ndarray:
-        return eigenvalues(parity_block(dim, keep, sign), overwrite=True)
+    specs = list(specs)
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    for spec in specs:
+        if spec.dim > MAX_EIGEN_DIM:
+            raise ValueError(f"dimension {spec.dim} exceeds the solver cap {MAX_EIGEN_DIM}")
+    if not specs:
+        return
+    # imported on first use: it costs every run about 0.25 MB of peak RSS
+    from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 
-    if not _owns_blas_threads():
-        return np.concatenate([solve(1), solve(-1)])
-    # imported on first use: loaded with the package it adds about 0.4 MB
-    # to the peak RSS of every run, also of those that solve nothing
-    from concurrent.futures import ThreadPoolExecutor
+    cores = _available_cores()
+    todo = iter(specs)
+    pending = []
+    with _one_blas_thread():
+        pool = ThreadPoolExecutor(max_workers=cores)
+        try:
+            def hand_out(spec):
+                solves = [pool.submit(eigenvalues, b, True) for b in _blocks(spec)]
+                pending.append((spec, solves))
 
-    # both blocks are built here, so the large arrays come from this
-    # thread's malloc arena; built on the worker, they went to a second
-    # arena whose kept pages made peak RSS depend on the earlier sizes
-    even, odd = parity_block(dim, keep, 1), parity_block(dim, keep, -1)
-    with split_blas_threads(2), ThreadPoolExecutor(max_workers=1) as pool:
-        odd_w = pool.submit(eigenvalues, odd, True)
-        return np.concatenate([eigenvalues(even, overwrite=True), odd_w.result()])
+            for spec in islice(todo, min(jobs, cores)):
+                hand_out(spec)
+            while pending:
+                # one snapshot, so a spec is either done or has a block to wait for
+                busy = [f for p in pending for f in p[1] if not f.done()]
+                done = next((p for p in pending if not any(f in busy for f in p[1])), None)
+                if done is None:
+                    wait(busy, return_when=FIRST_COMPLETED)
+                    continue
+                pending.remove(done)
+                spec, solves = done
+                w = sort_spectrum(np.concatenate([f.result() for f in solves]))
+                w.setflags(write=False)
+                for following in islice(todo, 1):  # the next spec, if any
+                    hand_out(following)
+                yield ResonanceSet(spec=spec, values=w)
+        finally:
+            pool.shutdown(cancel_futures=True)

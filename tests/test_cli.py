@@ -1,5 +1,6 @@
 """End-to-end command line behavior, run in process."""
 
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -9,7 +10,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.optimize import linear_sum_assignment
 
 import openbaker
 from openbaker import cli, csvio, spectra
@@ -225,103 +225,77 @@ class FakeBlas:
         self.threads = n
 
 
-def test_solve_many_caps_workers(monkeypatch):
-    # a recording stand-in for the pool, so no real thread is started
+@pytest.fixture
+def recorded_pools(monkeypatch):
+    """The max_workers of every solve pool started, in order."""
     started = []
 
-    class RecordingPool:
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
         def __init__(self, max_workers):
             started.append(max_workers)
+            super().__init__(max_workers)
 
-        def __enter__(self):
-            return self
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+    return started
 
-        def __exit__(self, *exc):
-            return False
 
-        def map(self, fn, items):
-            return map(fn, items)
-
+def test_solve_many_caps_workers(tmp_path, monkeypatch, recorded_pools):
+    # the pool has one thread per available core whatever --jobs is, only
+    # misses reach it, and each cache key is solved or loaded once
     blas = FakeBlas(5)
-    seen = []  # the BLAS thread count each solve ran with
-
-    class FakeCache:
-        def get_or_compute(self, spec):
-            seen.append(blas.threads)
-            return ResonanceSet(spec, 10 * spec), False
-
-    def solve_many(specs, jobs):
-        solved = cli._solve_many(specs, FakeCache(), jobs)
-        assert all(rs.spec == spec for spec, rs in solved.items())
-        return {spec: rs.values for spec, rs in solved.items()}
-
-    # integer stand-ins for specs, each its own cache key
-    monkeypatch.setattr(cli, "cache_key", lambda spec: spec)
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
     monkeypatch.setattr(spectra, "_openblas_threads", lambda: (blas.get, blas.set))
-    specs = [1, 2, 3, 4, 5]
-    monkeypatch.setattr(cli, "_available_cores", lambda: 2)
-    assert solve_many(specs, 64) == {s: 10 * s for s in specs}
-    assert started == [2]
-    # the two workers share the 5 threads, 2 each, and the 5 come back after
-    assert blas.sets == [2, 5] and seen == [2] * 5 and blas.threads == 5
-    monkeypatch.setattr(cli, "_available_cores", lambda: 8)
-    assert solve_many([1, 2, 2, 1], 5) == {1: 10, 2: 20}
-    assert started == [2, 2]
-    assert blas.sets == [2, 5, 2, 5]
-    # one available core, --jobs 1 and a single distinct spec run
-    # serially, without a pool and on the full thread count
-    seen.clear()
-    monkeypatch.setattr(cli, "_available_cores", lambda: 1)
-    assert solve_many(specs, 4) == {s: 10 * s for s in specs}
-    monkeypatch.setattr(cli, "_available_cores", lambda: 8)
-    assert solve_many(specs, 1) == {s: 10 * s for s in specs}
-    assert solve_many([3, 3], 4) == {3: 30}
-    assert started == [2, 2]
-    assert blas.sets == [2, 5, 2, 5] and seen == [5] * 11
-    # one thread cannot be split further
-    blas.threads = 1
-    solve_many(specs, 8)
-    assert blas.sets[-2:] == [1, 1]
-    # without a known BLAS the pool runs on whatever the BLAS does itself
-    monkeypatch.setattr(spectra, "_openblas_threads", lambda: None)
-    assert solve_many(specs, 8) == {s: 10 * s for s in specs}
-    assert started[-1] == 5 and len(blas.sets) == 6
+    cache = SpectrumCache(tmp_path)
+    specs = [PropagatorSpec(dim, OpeningSpec("0.3", "0.1")) for dim in (16, 18, 20)]
+    mirror = PropagatorSpec(16, OpeningSpec("0.7", "0.1"))
+    monkeypatch.setattr(spectra, "_available_cores", lambda: 2)
+    solved = cli._solve_many(specs + [mirror], cache, 64)
+    assert list(solved) == specs + [mirror]
+    assert all(rs.spec == spec for spec, rs in solved.items())
+    assert (solved[mirror].values == solved[specs[0]].values).all()
+    assert recorded_pools == [2] and blas.sets == [1, 5]
+    # all hits: no pool and no change to the count
+    again = cli._solve_many(specs, cache, 1)
+    assert all((again[s].values == solved[s].values).all() for s in specs)
+    assert recorded_pools == [2] and blas.sets == [1, 5]
+    # one miss among hits, on 8 cores at --jobs 1
+    monkeypatch.setattr(spectra, "_available_cores", lambda: 8)
+    cli._solve_many(specs + [PropagatorSpec(22, OpeningSpec("0.3", "0.1"))], cache, 1)
+    assert recorded_pools == [2, 8] and blas.sets == [1, 5, 1, 5]
+    assert len(list(tmp_path.glob("*.csv"))) == 4
 
 
-def test_jobs_are_capped_by_the_cpu_affinity(monkeypatch):
-    # a process pinned to one core of an 8-core host solves serially
+def test_jobs_are_capped_by_the_cpu_affinity(tmp_path, monkeypatch, recorded_pools):
+    # a process pinned to one core of an 8-core host solves on one worker
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5}, raising=False)
-    monkeypatch.setattr(cli, "cache_key", lambda spec: spec)
-
-    def no_pool(max_workers):
-        raise AssertionError(f"started a pool of {max_workers}")
-
-    class FakeCache:
-        def get_or_compute(self, spec):
-            return ResonanceSet(spec, 10 * spec), False
-
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
-    solved = cli._solve_many([1, 2, 3], FakeCache(), 4)
-    assert {spec: rs.values for spec, rs in solved.items()} == {1: 10, 2: 20, 3: 30}
+    specs = [PropagatorSpec(dim, OpeningSpec("0.5", "0.1")) for dim in (16, 18, 20)]
+    solved = cli._solve_many(specs, SpectrumCache(tmp_path), 4)
+    assert recorded_pools == [1]
+    assert all((rs.values == resonance_set(spec).values).all()
+               for spec, rs in solved.items())
 
 
-def test_solve_many_restores_blas_threads_when_a_solve_raises(monkeypatch):
+def test_solve_many_restores_blas_threads_when_a_solve_raises(tmp_path, monkeypatch):
     blas = FakeBlas(4)
+    solve = spectra.eigenvalues
 
-    class FailingCache:
-        def get_or_compute(self, spec):
-            if spec == 2:
-                raise EigensolverError("QR iteration did not converge")
-            return spec, False
+    def failing(m, overwrite=False):
+        if m.shape[0] == 18:
+            raise EigensolverError("QR iteration did not converge")
+        return solve(m, overwrite)
 
-    monkeypatch.setattr(cli, "cache_key", lambda spec: spec)
     monkeypatch.setattr(spectra, "_openblas_threads", lambda: (blas.get, blas.set))
-    monkeypatch.setattr(cli, "_available_cores", lambda: 2)
+    monkeypatch.setattr(spectra, "eigenvalues", failing)
+    monkeypatch.setattr(spectra, "_available_cores", lambda: 2)
+    cache = SpectrumCache(tmp_path)
+    specs = [PropagatorSpec(dim, OpeningSpec("0.3", "0.1")) for dim in (16, 18, 20)]
     with pytest.raises(EigensolverError):
-        cli._solve_many([1, 2, 3], FailingCache(), 2)
-    assert blas.sets == [2, 4] and blas.threads == 4
+        cli._solve_many(specs, cache, 1)
+    assert blas.sets == [1, 4] and blas.threads == 4
+    assert not spectra._blas_lock.locked()
+    # at --jobs 1 the first spectrum finishes, and is stored, before the
+    # failing one does; the failed one is not stored
+    assert cache.has(specs[0]) and not cache.has(specs[1])
 
 
 def test_solve_many_restores_the_real_blas_thread_count(tmp_path, monkeypatch):
@@ -331,61 +305,69 @@ def test_solve_many_restores_the_real_blas_thread_count(tmp_path, monkeypatch):
     get, _ = api
     before = get()
     seen = []
-    compute = SpectrumCache.get_or_compute
+    solve = spectra.eigenvalues
 
-    def recording(self, spec):
+    def recording(m, overwrite=False):
         seen.append(get())
-        return compute(self, spec)
+        return solve(m, overwrite)
 
-    monkeypatch.setattr(SpectrumCache, "get_or_compute", recording)
-    monkeypatch.setattr(cli, "_available_cores", lambda: 2)  # a pool even on one core
+    monkeypatch.setattr(spectra, "eigenvalues", recording)
+    monkeypatch.setattr(spectra, "_available_cores", lambda: 2)
     specs = [PropagatorSpec(dim, OpeningSpec("0.3", "0.2")) for dim in (16, 18)]
     solved = cli._solve_many(specs, SpectrumCache(tmp_path), jobs=2)
     assert list(solved) == specs
-    assert seen == [max(1, before // 2)] * 2
+    assert seen == [1] * 2
     assert get() == before
 
 
-def matched_gap(a, b, floor) -> float:
-    """Largest gap when every mode of a above floor gets its own mode of b."""
-    a = a[np.abs(a) > floor]
-    cost = np.abs(a[:, None] - b[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())
+def solve_to_cache(tmp_path, capsys, name, qc, dq, jobs) -> Path:
+    """Run spectrum over N = 502, 504, 506 into a fresh cache; return it."""
+    cache = tmp_path / f"cache-{name}"
+    code, out, err = run(
+        ["spectrum", "--out", str(tmp_path / f"out-{name}"), "--cache", str(cache),
+         "--n", "502,504,506", "--qc", qc, "--dq", dq, "--jobs", jobs],
+        capsys,
+    )
+    assert code == 0, err
+    return cache
+
+
+def same_payloads(a: Path, b: Path) -> bool:
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir()) and len(names) == 6
+    return all((a / n).read_bytes() == (b / n).read_bytes()
+               for n in names if n.endswith(".csv"))
 
 
 def test_concurrent_solves_match_serial_ones(tmp_path, capsys, monkeypatch):
-    # spectra.eigenvalues drops the interpreter lock inside LAPACK at every
-    # size, so the two workers really solve at the same time, each on its
-    # share of the BLAS
-    monkeypatch.setattr(cli, "_available_cores", lambda: 2)
-    caches = {}
-    for jobs in ("2", "1"):
-        cache = tmp_path / f"cache{jobs}"
-        code, out, err = run(
-            ["spectrum", "--out", str(tmp_path / f"out{jobs}"), "--cache", str(cache),
-             "--n", "502,504,506", "--qc", "0.3", "--dq", "0.2", "--jobs", jobs],
-            capsys,
-        )
-        assert code == 0, err
-        caches[jobs] = SpectrumCache(cache)
-    names = {jobs: sorted(p.name for p in c.root.iterdir()) for jobs, c in caches.items()}
-    assert names["2"] == names["1"] and len(names["1"]) == 6
-    for dim in (502, 504, 506):
-        spec = PropagatorSpec(dim, OpeningSpec("0.3", "0.2"))
-        # load re-checks the manifest checksum and the trace identity
-        pooled, serial = caches["2"].load(spec).values, caches["1"].load(spec).values
-        assert matched_gap(pooled, serial, 0.1) <= 1e-10
-        assert matched_gap(serial, pooled, 0.1) <= 1e-10
+    # every block runs on one BLAS thread, so --jobs changes no bit of the
+    # payloads, for full solves and for parity-split ones
+    monkeypatch.setattr(spectra, "_available_cores", lambda: 2)
+    for qc, dq in (("0.3", "0.2"), ("0.5", "0.1")):
+        pooled = solve_to_cache(tmp_path, capsys, f"{qc}-2", qc, dq, "2")
+        serial = solve_to_cache(tmp_path, capsys, f"{qc}-1", qc, dq, "1")
+        assert same_payloads(pooled, serial)
+        for dim in (502, 504, 506):
+            # load re-checks the manifest checksum and the trace identity
+            SpectrumCache(serial).load(PropagatorSpec(dim, OpeningSpec(qc, dq)))
+
+
+def test_core_count_changes_no_bits(tmp_path, capsys, monkeypatch):
+    caches = []
+    for cores in (1, 2):
+        monkeypatch.setattr(spectra, "_available_cores", lambda: cores)
+        caches.append(solve_to_cache(tmp_path, capsys, str(cores), "0.3", "0.2", "1"))
+    assert same_payloads(*caches)
 
 
 def test_cli_import_loads_no_test_dependency():
-    # numpy is the only runtime dependency; the rest are the tests' own
+    # numpy is the only runtime dependency; the rest are the tests' own,
+    # and the solve pool's concurrent.futures is imported on first use
     src = str(Path(openbaker.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     probe = ("import sys, openbaker.cli; print(sorted(m for m in sys.modules "
-             "if m.split('.')[0] in ('scipy', 'mpmath', 'hypothesis')))")
+             "if m.split('.')[0] in ('scipy', 'mpmath', 'hypothesis', 'concurrent')))")
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                             text=True, env=env, timeout=120, check=True)
     assert result.stdout.strip() == "[]"
@@ -521,7 +503,7 @@ def test_hole_no_orbit_survives_fails_before_solving(tmp_path, capsys, monkeypat
     def no_solve(spec):
         raise AssertionError(f"solved N={spec.dim}")
 
-    monkeypatch.setattr("openbaker.cache.resonance_set", no_solve)
+    monkeypatch.setattr(spectra, "_blocks", no_solve)
     code, out, err = run(command + ["--out", str(tmp_path), "--qc", "0", "--dq", "0.7"],
                          capsys)
     assert code == 2
@@ -531,20 +513,20 @@ def test_hole_no_orbit_survives_fails_before_solving(tmp_path, capsys, monkeypat
 
 def test_mirror_openings_solve_and_load_once(tmp_path, capsys, monkeypatch):
     # (0.3, 0.1) and (0.7, 0.1) absorb mirror-image sites at N = 16, 20, 64
-    solve, get_or_compute = openbaker.cache.resonance_set, SpectrumCache.get_or_compute
+    blocks, load = spectra._blocks, SpectrumCache.load
     solves, gets = [], []
 
     def counting_solve(spec):
         solves.append(spec.dim)
-        return solve(spec)
+        return blocks(spec)
 
     def counting_get(self, spec):
         gets.append(spec.dim)
-        return get_or_compute(self, spec)
+        return load(self, spec)
 
-    monkeypatch.setattr("openbaker.cache.resonance_set", counting_solve)
-    monkeypatch.setattr(SpectrumCache, "get_or_compute", counting_get)
-    monkeypatch.setattr(cli, "_available_cores", lambda: 2)
+    monkeypatch.setattr(spectra, "_blocks", counting_solve)
+    monkeypatch.setattr(SpectrumCache, "load", counting_get)
+    monkeypatch.setattr(spectra, "_available_cores", lambda: 2)
     out = tmp_path / "out"
     code, _, err = run(["stats", "cumulative", "--out", str(out), "--n", "64",
                         "--qc", "0.3,0.7", "--dq", "0.1", "--jobs", "2"], capsys)
@@ -581,10 +563,10 @@ def test_grid_above_cap_is_a_usage_error(tmp_path, capsys):
 
 
 def test_width_nmax_above_solver_cap_is_a_usage_error(tmp_path, capsys, monkeypatch):
-    def no_solve(self, spec):
+    def no_solve(spec):
         raise AssertionError(f"solved N={spec.dim} before rejecting --nmax")
 
-    monkeypatch.setattr(SpectrumCache, "get_or_compute", no_solve)
+    monkeypatch.setattr(spectra, "_blocks", no_solve)
     with pytest.raises(SystemExit) as exc:
         main(["stats", "width", "--out", str(tmp_path), "--dq", "0.1", "--qc", "0.5",
               "--nmin", "16", "--nmax", str(MAX_EIGEN_DIM + 1)])
@@ -630,10 +612,10 @@ def test_width_nmax_above_solver_cap_is_a_usage_error(tmp_path, capsys, monkeypa
 def test_bad_spectral_inputs_fail_before_solving(
     tmp_path, capsys, monkeypatch, argv, message
 ):
-    def no_solve(self, spec):
+    def no_solve(spec):
         raise AssertionError(f"solved N={spec.dim} before rejecting the input")
 
-    monkeypatch.setattr(SpectrumCache, "get_or_compute", no_solve)
+    monkeypatch.setattr(spectra, "_blocks", no_solve)
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out", str(out)])
@@ -683,10 +665,10 @@ def test_parser_defaults_are_parsed():
 def test_width_bad_dimensions_or_bins_fail_before_solving(
     tmp_path, capsys, monkeypatch, extra, message
 ):
-    def no_solve(self, spec):
+    def no_solve(spec):
         raise AssertionError(f"solved N={spec.dim} before rejecting the input")
 
-    monkeypatch.setattr(SpectrumCache, "get_or_compute", no_solve)
+    monkeypatch.setattr(spectra, "_blocks", no_solve)
     argv = ["stats", "width", "--out", str(tmp_path), "--dq", "0.1", "--qc", "0.5",
             "--nmin", "16", "--nmax", "20"] + extra
     with pytest.raises(SystemExit) as exc:

@@ -122,8 +122,33 @@ def test_cache_key_canonicalizes_parameters():
         (1266, "0.5", "0.1", "c59f48f8d41967a4aed3fc4bda25d87d4bc1867769399fad1d48c28b3c38f5da"),
     ],
 )
-def test_cache_key_is_stable(dim, qc, dq, key):
-    # existing caches stay readable only while these digests hold
+def test_cache_key_is_stable(dim, qc, dq, key, monkeypatch):
+    # the key's layout: these are the digests of solver version 3, and only
+    # the version field may move them (the current ones are pinned below)
+    monkeypatch.setattr(cache_module, "SOLVER_VERSION", 3)
+    cache_key.cache_clear()
+    try:
+        assert cache_key(PropagatorSpec(dim, OpeningSpec(qc, dq))) == key
+    finally:
+        cache_key.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "dim, qc, dq, key",
+    [
+        (64, "0.3", "0.1", "33a1a4e4f9057b5c79e49af8e646d8672ae693ac78998b88e9e5a3d140664a0e"),
+        (64, "0.7", "0.1", "33a1a4e4f9057b5c79e49af8e646d8672ae693ac78998b88e9e5a3d140664a0e"),
+        (50, "0.5", "0.1", "ad4210f781d7ccbc58abd81f8ecd707d68d6bb396bf8e13cfe7db90b9df6b232"),
+        (16, "0.5", "0", "ea1cf50a851159c5f9356ca6f5d7c0dfa3d242f66e2be6b890e6806e1529de17"),
+        (16, "0.5", "1", "606f1b08ec6004fbf6c68b8352514aa0bf4f64c8b9432cd2cd6361184036f289"),
+        (16, "0", "0.2", "d1863f0f0cc2489a11db4a9ab58af6cf83a9e80c28b4ab6fe51840b3efcdfb4e"),
+        (1266, "0.5", "0.1", "5465f08324275a977e1d4cf4bd27861d5be37cad65b70e90784f7294b5855868"),
+    ],
+)
+def test_cache_key_names_solver_version_4(dim, qc, dq, key):
+    # version 4 solves every block on one BLAS thread; entries of version 3,
+    # whose last bits depended on the thread count, are never read again,
+    # and existing caches stay readable only while these digests hold
     assert cache_key(PropagatorSpec(dim, OpeningSpec(qc, dq))) == key
 
 

@@ -1,9 +1,9 @@
 """Eigensolver wrapper, canonical ordering, and the slow oracle."""
 
 import ctypes
-import os
 import sys
 import threading
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from openbaker import cli, spectra
+from openbaker import spectra
 from openbaker.classical import OpeningSpec
 from openbaker.propagator import (
     PropagatorSpec,
@@ -23,8 +23,8 @@ from openbaker.spectra import (
     EigensolverError,
     eigenvalues,
     resonance_set,
+    resonance_sets,
     sort_spectrum,
-    split_blas_threads,
 )
 from oracles import brute_force_spectrum_oracle, removed_count
 
@@ -281,13 +281,16 @@ class FakeBlas:
         self.threads = n
 
 
-def record_solves(monkeypatch, blas, fail_off_main=False):
-    """Log (thread, BLAS count) for each eigenvalues call, solved by numpy."""
+def record_solves(monkeypatch, blas, fail_call=None):
+    """Log (thread, BLAS count) for each eigenvalues call, solved by numpy.
+
+    Call number fail_call raises instead, as a QR failure would.
+    """
     calls = []
 
     def recording(m, overwrite=False):
         calls.append((threading.current_thread() is threading.main_thread(), blas.threads))
-        if fail_off_main and not calls[-1][0]:
+        if len(calls) == fail_call:
             raise EigensolverError("QR iteration did not converge")
         return np.linalg.eigvals(m)
 
@@ -296,88 +299,144 @@ def record_solves(monkeypatch, blas, fail_off_main=False):
     return calls
 
 
+def pool_threads() -> set:
+    return {t for t in threading.enumerate() if t.name.startswith("ThreadPoolExecutor")}
+
+
 SYMMETRIC = PropagatorSpec(64, OpeningSpec("0.5", "0.1"))
+ASYMMETRIC = PropagatorSpec(64, OpeningSpec("0.3", "0.1"))
 
 
-def test_symmetric_solve_pairs_blocks_only_when_it_owns_the_blas_threads(monkeypatch):
-    monkeypatch.setattr(spectra, "_lapack_zgeev", lambda: "a resolved zgeev")
+def test_every_block_solves_on_the_pool_at_one_blas_thread(monkeypatch):
     blas = FakeBlas(4)
     calls = record_solves(monkeypatch, blas)
+    # both parity blocks of a symmetric mask on workers, on 1 thread, and 4 back
     paired = resonance_set(SYMMETRIC).values
-    # the odd block on a second thread, each on half of the 4, and 4 back
-    assert sorted(calls) == [(False, 2), (True, 2)]
-    assert blas.sets == [2, 4] and blas.threads == 4
-    assert not spectra._blas_split.locked()
-    # one thread, a split already active, or no zgeev: one block after the other
+    assert calls == [(False, 1)] * 2
+    assert blas.sets == [1, 4] and blas.threads == 4
+    assert not spectra._blas_lock.locked()
+    # one thread to start with: the same bits
     calls.clear()
     blas.threads = 1
-    assert (resonance_set(SYMMETRIC).values == paired).all()
-    assert calls == [(True, 1)] * 2
+    assert same_bits(resonance_set(SYMMETRIC).values, paired)
+    assert calls == [(False, 1)] * 2
+    # an asymmetric mask is one solve of the full matrix, also on 1 thread
     calls.clear()
     blas.threads = 4
-    with split_blas_threads(2):
-        resonance_set(SYMMETRIC)
-    assert calls == [(True, 2)] * 2 and blas.sets == [2, 4, 2, 4]
-    calls.clear()
-    monkeypatch.setattr(spectra, "_lapack_zgeev", lambda: None)
-    resonance_set(SYMMETRIC)
-    assert calls == [(True, 4)] * 2 and blas.sets == [2, 4, 2, 4]
-    # an asymmetric mask is one solve on the count it was given
-    calls.clear()
-    monkeypatch.setattr(spectra, "_lapack_zgeev", lambda: "a resolved zgeev")
-    resonance_set(PropagatorSpec(64, OpeningSpec("0.3", "0.1")))
-    assert calls == [(True, 4)] and blas.sets == [2, 4, 2, 4]
+    resonance_set(ASYMMETRIC)
+    assert calls == [(False, 1)] and blas.sets == [1, 4, 1, 1, 1, 4]
+    # without a known BLAS the count is left alone
+    monkeypatch.setattr(spectra, "_openblas_threads", lambda: None)
+    assert same_bits(resonance_set(SYMMETRIC).values, paired)
+    assert len(blas.sets) == 6
 
 
 def test_paired_solve_builds_both_blocks_on_the_calling_thread(monkeypatch):
     # a block built on the worker came from a second malloc arena, whose
     # kept pages made a run's peak RSS depend on the sizes solved before it
-    monkeypatch.setattr(spectra, "_lapack_zgeev", lambda: "a resolved zgeev")
+    monkeypatch.setattr(spectra, "_available_cores", lambda: 2)
     calls = record_solves(monkeypatch, FakeBlas(4))
     built = []
-    build = spectra.parity_block
+    parity, full = spectra.parity_block, spectra.open_propagator
 
-    def recording(dim, keep, sign):
+    def recording_parity(dim, keep, sign):
         built.append((threading.current_thread() is threading.main_thread(), sign))
-        return build(dim, keep, sign)
+        return parity(dim, keep, sign)
 
-    monkeypatch.setattr(spectra, "parity_block", recording)
+    def recording_full(spec, keep):
+        built.append((threading.current_thread() is threading.main_thread(), 0))
+        return full(spec, keep)
+
+    monkeypatch.setattr(spectra, "parity_block", recording_parity)
+    monkeypatch.setattr(spectra, "open_propagator", recording_full)
     resonance_set(SYMMETRIC)
     assert built == [(True, 1), (True, -1)]
-    assert sorted(calls) == [(False, 2), (True, 2)]
+    assert calls == [(False, 1)] * 2
+    built.clear()
+    list(resonance_sets([SYMMETRIC, ASYMMETRIC, SYMMETRIC], jobs=2))
+    assert built == [(True, 1), (True, -1), (True, 0), (True, 1), (True, -1)]
 
 
 def test_paired_solve_restores_blas_threads_when_a_block_raises(monkeypatch):
-    monkeypatch.setattr(spectra, "_lapack_zgeev", lambda: "a resolved zgeev")
     blas = FakeBlas(2)
-    calls = record_solves(monkeypatch, blas, fail_off_main=True)
+    calls = record_solves(monkeypatch, blas, fail_call=2)
+    before = pool_threads()
     with pytest.raises(EigensolverError):
         resonance_set(SYMMETRIC)
-    assert sorted(calls) == [(False, 1), (True, 1)]
+    assert calls == [(False, 1)] * 2
     assert blas.sets == [1, 2] and blas.threads == 2
-    assert not spectra._blas_split.locked()
+    assert not spectra._blas_lock.locked()
+    # the with block joined the pool: no worker outlives the call
+    assert pool_threads() == before
 
 
-def test_solves_in_the_jobs_pool_run_on_their_share(monkeypatch):
-    monkeypatch.setattr(spectra, "_lapack_zgeev", lambda: "a resolved zgeev")
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+def test_early_stop_releases_the_lock_and_joins_the_pool(monkeypatch):
+    # a consumer that stops after the first spectrum, by close, break or
+    # an exception of its own, leaves nothing held and no worker running
+    monkeypatch.setattr(spectra, "_available_cores", lambda: 2)
+    blas = FakeBlas(4)
+    record_solves(monkeypatch, blas)
+    specs = [SYMMETRIC, ASYMMETRIC, PropagatorSpec(66, OpeningSpec("0.5", "0.1"))]
+    before = pool_threads()
+    solving = resonance_sets(specs, jobs=2)
+    assert next(solving).spec == SYMMETRIC
+    assert spectra._blas_lock.locked() and blas.threads == 1
+    solving.close()
+    assert not spectra._blas_lock.locked() and blas.threads == 4
+    assert pool_threads() == before
+    for rs in resonance_sets(specs, jobs=2):
+        break
+    assert not spectra._blas_lock.locked() and blas.threads == 4
+    with pytest.raises(KeyError):
+        for rs in resonance_sets(specs, jobs=1):
+            raise KeyError(rs.spec)
+    assert not spectra._blas_lock.locked() and blas.threads == 4
+    assert pool_threads() == before
+    assert blas.sets == [1, 4] * 3
+
+
+def test_jobs_bounds_the_spectra_in_flight(monkeypatch):
+    # the blocks of at most min(jobs, cores) specs are alive, the next spec
+    # is handed out before a finished one is yielded, and a spec is yielded
+    # when it finishes, so a slow one holds back no idle worker
+    monkeypatch.setattr(spectra, "_available_cores", lambda: 2)
     blas = FakeBlas(5)
     calls = record_solves(monkeypatch, blas)
+    built = []
+    blocks = spectra._blocks
 
-    class NoCache:
-        def get_or_compute(self, spec):
-            return resonance_set(spec), False
+    def recording(spec):
+        built.append(spec)
+        return blocks(spec)
 
+    monkeypatch.setattr(spectra, "_blocks", recording)
     specs = [PropagatorSpec(dim, OpeningSpec(qc, "0.1"))
              for dim in (64, 66, 68) for qc in ("0.5", "0.3")]
     assert sum(is_mirror_symmetric(spec) for spec in specs) >= 2
-    cli._solve_many(specs, NoCache(), jobs=2)
-    # every block and full solve on 5 // 2, and no split inside the pool's
-    assert {threads for _, threads in calls} == {2}
-    assert blas.sets == [2, 5] and blas.threads == 5
+    for jobs, window in ((1, 1), (2, 2), (8, 2)):
+        built.clear()
+        yielded = []
+        for k, rs in enumerate(resonance_sets(specs, jobs)):
+            yielded.append(rs.spec)
+            assert built == specs[: min(window + k + 1, len(specs))]
+        assert sorted(yielded, key=specs.index) == specs
+    # every block and full solve on 1 thread, and the 5 back after each run
+    assert {threads for _, threads in calls} == {1}
+    assert blas.sets == [1, 5] * 3 and blas.threads == 5
+    slow, fast = PropagatorSpec(66, OpeningSpec("0.3", "0.1")), ASYMMETRIC
+
+    def slow_66(m, overwrite=False):
+        if m.shape[0] == 66:
+            time.sleep(0.3)
+        return np.linalg.eigvals(m)
+
+    monkeypatch.setattr(spectra, "eigenvalues", slow_66)
+    assert [rs.spec for rs in resonance_sets([slow, fast], 2)] == [fast, slow]
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        next(resonance_sets(specs, 0))
 
 
-def test_fallback_solves_blocks_in_turn_with_numpy(monkeypatch, one_blas_thread):
+def test_fallback_gives_the_same_bits_with_numpy(monkeypatch):
     spec = PropagatorSpec(130, OpeningSpec("0", "0.2"))
     assert is_mirror_symmetric(spec)
     solved = resonance_set(spec).values
@@ -391,14 +450,13 @@ def test_fallback_solves_blocks_in_turn_with_numpy(monkeypatch, one_blas_thread)
     monkeypatch.setattr(spectra, "_lapack_zgeev", lambda: None)
     monkeypatch.setattr(np.linalg, "eigvals", recording)
     assert same_bits(resonance_set(spec).values, solved)
-    assert calls == [True, True]
+    assert calls == [False, False]
 
 
 def test_concurrent_solves_never_lose_the_blas_thread_count(monkeypatch):
-    # more solving threads than cores, switching often: each paired solve
-    # splits and restores the count, one split at a time, so the count
-    # comes back whole; two splits at once would restore a halved count
-    monkeypatch.setattr(spectra, "_lapack_zgeev", lambda: "a resolved zgeev")
+    # more solving threads than cores, switching often: each solve holds
+    # the count at 1 and restores it, one holder at a time, so the count
+    # comes back whole; two holders at once would restore a 1
     blas = FakeBlas(4)
     record_solves(monkeypatch, blas)
     expected = resonance_set(SYMMETRIC).values
@@ -420,5 +478,5 @@ def test_concurrent_solves_never_lose_the_blas_thread_count(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(worker.is_alive() for worker in workers)
     assert len(results) == 40 and all((r == expected).all() for r in results)
-    assert blas.threads == 4 and set(blas.sets) <= {2, 4}
-    assert not spectra._blas_split.locked()
+    assert blas.threads == 4 and set(blas.sets) <= {1, 4}
+    assert not spectra._blas_lock.locked()
