@@ -25,7 +25,7 @@ from openbaker.cli import (
     main,
 )
 from openbaker.propagator import PropagatorSpec
-from openbaker.spectra import MAX_EIGEN_DIM, EigensolverError, ResonanceSet, resonance_set
+from openbaker.spectra import MAX_EIGEN_DIM, EigensolverError, resonance_set
 from openbaker.stats import rescaled_decay_histogram
 from openbaker.trapped import exact_escape
 
