@@ -103,9 +103,13 @@ class SpectrumCache:
         trace identity: the eigenvalue sum must match the trace of the
         opened propagator recomputed from scratch.
         """
-        payload = self.payload_path(spec)
-        with open(self.manifest_path(spec), "r", encoding="ascii") as fh:
-            manifest = json.load(fh)
+        payload, manifest_path = self.payload_path(spec), self.manifest_path(spec)
+        try:
+            manifest = json.loads(manifest_path.read_text(encoding="ascii"))
+        except ValueError as exc:  # not JSON, or not ASCII
+            raise CacheError(f"unreadable manifest {manifest_path.name}: {exc}") from None
+        if not isinstance(manifest, dict):
+            raise CacheError(f"manifest {manifest_path.name} is not a JSON object")
         actual = sha256_file(payload)
         if manifest.get("sha256") != actual:
             raise CacheError(

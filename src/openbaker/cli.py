@@ -459,6 +459,8 @@ def _validate(args, parser: argparse.ArgumentParser) -> None:
             lo, hi = args.range if args.mode == "histogram" else (args.tail_lo, 1.0)
             try:
                 bin_count(args.bin, float(lo), float(hi))
+            except OverflowError:  # a Fraction past the largest float
+                parser.error("--range bounds must be finite floats")
             except ValueError as exc:
                 parser.error(str(exc))
     if args.command == "weyl" and args.inject is None:
@@ -482,11 +484,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     _validate(args, parser)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    cache = None
-    if args.command != "classical" and getattr(args, "inject", None) is None:
-        cache = SpectrumCache(args.cache if args.cache else out / "cache")
     try:
+        # an --out or --cache naming a file fails here, as an OSError
+        out.mkdir(parents=True, exist_ok=True)
+        cache = None
+        if args.command != "classical" and getattr(args, "inject", None) is None:
+            cache = SpectrumCache(args.cache if args.cache else out / "cache")
         args.func(args, out, cache)
     except (ValueError, ResolutionExhausted, EigensolverError, CacheError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,7 +2,7 @@
 
 The workhorse is LAPACK's dense nonsymmetric solver zgeev (Hessenberg
 reduction plus implicitly shifted QR), called through ctypes from the
-OpenBLAS numpy loaded.  The tests hold it to numpy's eigvals bit for bit
+OpenBLAS numpy links.  The tests hold it to numpy's eigvals bit for bit
 and to a from-scratch characteristic-polynomial oracle at tiny
 dimensions, which shares none of its machinery.
 """
@@ -11,34 +11,28 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from .propagator import PropagatorSpec, open_propagator, parity_block
-from .trapped import _available_cores
 
 MAX_EIGEN_DIM = 4096
 
-# OpenBLAS's (get, set) thread-count exports, most specific first: numpy's
-# wheels rename them with a scipy_ prefix and a 64_ suffix, which also
-# keeps scipy's own 32-bit copy (scipy_..._threads, no suffix) out
-_OPENBLAS_THREAD_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
-
-# LAPACK's complex eigensolver under the same names, each with the width
-# of the integers it takes: the 64_ suffix marks an ILP64 build
-_ZGEEV_SYMBOLS = (
-    ("scipy_zgeev_64_", ctypes.c_int64),
-    ("zgeev_64_", ctypes.c_int64),
-    ("zgeev_", ctypes.c_int32),
+# numpy's OpenBLAS under the names each build exports, one row per build:
+# LAPACK's complex eigensolver, the width of the integers it takes (the
+# 64_ suffix marks an ILP64 build) and the thread count's get and set
+_OPENBLAS_SYMBOLS = (
+    ("scipy_zgeev_64_", ctypes.c_int64,
+     "scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("zgeev_64_", ctypes.c_int64,
+     "openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("zgeev_", ctypes.c_int32, "openblas_get_num_threads", "openblas_set_num_threads"),
 )
 
 # held while _one_blas_thread has the thread count at one
@@ -58,7 +52,7 @@ def eigenvalues(m: np.ndarray, overwrite: bool = False) -> np.ndarray:
     Unlike numpy, the call releases the interpreter lock at every size.
     With overwrite, a writable column-major complex128 m is solved in
     place and left holding LAPACK's scratch; any other m is copied first.
-    Without a zgeev in the loaded OpenBLAS this is np.linalg.eigvals.
+    Where numpy's BLAS is not OpenBLAS (_openblas) this is np.linalg.eigvals.
     """
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -68,15 +62,15 @@ def eigenvalues(m: np.ndarray, overwrite: bool = False) -> np.ndarray:
         raise ValueError(f"dimension {n} exceeds the solver cap {MAX_EIGEN_DIM}")
     if not np.isfinite(m).all():
         raise ValueError("matrix contains non-finite entries")
-    lapack = _lapack_zgeev()
-    if lapack is None:
+    blas = _openblas()
+    if blas is None:
         try:
             return np.linalg.eigvals(m)
         except np.linalg.LinAlgError as exc:
             raise EigensolverError(
                 f"eigenvalue iteration failed on a {n}x{n} matrix: {exc}"
             ) from exc
-    zgeev, fint = lapack
+    zgeev, fint = blas.zgeev, blas.fint
     in_place = (overwrite and m.dtype == np.complex128
                 and m.flags.f_contiguous and m.flags.writeable)
     a = m if in_place else np.array(m, dtype=np.complex128, order="F")
@@ -104,58 +98,51 @@ def eigenvalues(m: np.ndarray, overwrite: bool = False) -> np.ndarray:
     return w
 
 
-@functools.cache
-def _openblas_handles() -> tuple:
-    """Every OpenBLAS library mapped into the process, opened with ctypes.
+class _OpenBlas(NamedTuple):
+    """One row of _OPENBLAS_SYMBOLS, resolved."""
 
-    On systems without /proc this is empty.
+    zgeev: Callable
+    fint: type
+    get_threads: Callable[[], int]
+    set_threads: Callable[[int], None]
+
+
+@functools.cache
+def _openblas() -> _OpenBlas | None:
+    """zgeev and the thread count of the OpenBLAS numpy calls, or None.
+
+    The symbols are looked up through numpy's own linalg extension: the
+    loader resolves a handle's symbols in the libraries it links, so this
+    finds numpy's copy and no other, scipy's included.  It is None unless
+    one row of _OPENBLAS_SYMBOLS is there whole: with MKL or Accelerate,
+    and where the loader does not search a handle's dependencies
+    (Windows).  ctypes releases the interpreter lock for each call.
     """
+    from numpy.linalg import _umath_linalg
+
     try:
-        with open("/proc/self/maps", encoding="ascii", errors="replace") as fh:
-            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+        lib = ctypes.CDLL(_umath_linalg.__file__)
     except OSError:
-        return ()
-    handles = []
-    for path in paths:
-        try:
-            handles.append(ctypes.CDLL(path))
-        except OSError:
+        return None
+    for zgeev_name, fint, get_name, set_name in _OPENBLAS_SYMBOLS:
+        zgeev, get, put = (getattr(lib, name, None)
+                           for name in (zgeev_name, get_name, set_name))
+        if zgeev is None or get is None or put is None:
             continue
-    return tuple(handles)
-
-
-@functools.cache
-def _lapack_zgeev():
-    """(zgeev, its integer type) from the OpenBLAS numpy loaded, or None.
-
-    ctypes releases the interpreter lock for the length of each call.
-    """
-    for name, fint in _ZGEEV_SYMBOLS:
-        for handle in _openblas_handles():
-            zgeev = getattr(handle, name, None)
-            if zgeev is not None:
-                ptr = ctypes.c_void_p
-                zgeev.argtypes = [ctypes.c_char_p, ctypes.c_char_p] + [ptr] * 12
-                zgeev.restype = None
-                return zgeev, fint
+        zgeev.argtypes = [ctypes.c_char_p, ctypes.c_char_p] + [ctypes.c_void_p] * 12
+        zgeev.restype = None
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return _OpenBlas(zgeev, fint, get, put)
     return None
 
 
-@functools.cache
-def _openblas_threads():
-    """(get, set) of the thread count of the OpenBLAS numpy loaded, or None.
-
-    The library is found among the files mapped into the process, so on
-    systems without /proc, and with other BLAS vendors, this is None.
-    """
-    for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
-        for handle in _openblas_handles():
-            get, put = getattr(handle, get_name, None), getattr(handle, set_name, None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                return get, put
-    return None
+def _available_cores() -> int:
+    """Cores this process may run on: its CPU affinity, else the host's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 @contextmanager
@@ -166,17 +153,16 @@ def _one_blas_thread():
     a BLAS other than OpenBLAS the count is left alone.
     """
     with _blas_lock:
-        api = _openblas_threads()
-        if api is None:
+        blas = _openblas()
+        if blas is None:
             yield
             return
-        get, put = api
-        total = get()
-        put(1)
+        total = blas.get_threads()
+        blas.set_threads(1)
         try:
             yield
         finally:
-            put(total)
+            blas.set_threads(total)
 
 
 def sort_spectrum(w: np.ndarray) -> np.ndarray:
@@ -244,7 +230,8 @@ def resonance_sets(specs, jobs: int = 1) -> Iterator[ResonanceSet]:
     min(jobs, cores) specs are alive; the next is handed out before a
     finished spec is yielded, so the consumer's work overlaps the solves.
     Finished, raised or closed early, the pool is joined and the count
-    restored.  A consumer must not solve inside the loop.
+    restored.  The loop holds the BLAS lock across its yields, so a
+    consumer must not solve, or call trapped.exact_escape, inside it.
     """
     specs = list(specs)
     if jobs < 1:

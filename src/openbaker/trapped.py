@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,12 +29,16 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .classical import OpeningSpec
+from .spectra import _available_cores, _one_blas_thread
 
 DEFAULT_FIT_RANGE = (5, 25)
 # Partitions are refused above this many cells, during the orbit walk.
-# Hole edges with four decimals need about a thousand cells; exact_escape
-# solved a 2,514-cell partition (largest component 2,396) in 7.5 s on two
-# cores, and n^3 projects about 37 s for a 4,096-cell component (not run).
+# Hole edges with four decimals need about a thousand cells.  exact_escape
+# solves at one BLAS thread: on two cores, the 612 cells of
+# (0.1234, 0.0567) took 0.14-0.16 s against 0.16-0.19 s at two threads,
+# and the 2,514 of (0.12345, 0.01111) (largest component 2,396) 10.1 s
+# against 7.8-8.0 s; n^3 projects about 50 s for a 4,096-cell component
+# (not run).
 MAX_CELLS = 4096
 
 _LN2 = math.log(2.0)
@@ -233,7 +236,11 @@ def exact_escape(opening: OpeningSpec) -> ExactEscape:
 
     The mirror image q -> 1 - q conjugates the doubling map to itself, so
     an opening and its mirror share rho.  Both are solved as the one with
-    q_c <= 1/2, which gives them the same bits, once per process.
+    q_c <= 1/2, which gives them the same bits, once per process.  The
+    dense solve runs at one BLAS thread, so the bits do not depend on the
+    core count either; it takes the lock that spectra.resonance_sets
+    holds across its yields, so it must not run inside such a loop on the
+    same thread.
     """
     if opening.q_c > Fraction(1, 2):
         opening = OpeningSpec(1 - opening.q_c, opening.delta_q)
@@ -256,7 +263,9 @@ def _exact_escape(opening: OpeningSpec) -> ExactEscape:
         if (out == 1).all():
             rho = max(rho, 1.0)
         elif out.any():
-            rho = max(rho, float(np.abs(np.linalg.eigvals(block.astype(float))).max()))
+            with _one_blas_thread():
+                w = np.linalg.eigvals(block.astype(float))
+            rho = max(rho, float(np.abs(w).max()))
     if rho == 0:
         raise ValueError(
             f"no orbit avoids the hole of width {opening.delta_q} forever; "
@@ -303,14 +312,6 @@ def escape_rate(
         fit_range=(t_lo, t_hi),
         residual_rms=float(np.sqrt(np.mean(resid**2))),
     )
-
-
-def _available_cores() -> int:
-    """Cores this process may run on: its CPU affinity, else the host's count."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def monte_carlo_area(

@@ -224,6 +224,14 @@ class FakeBlas:
         self.sets.append(n)
         self.threads = n
 
+    def install(self, monkeypatch):
+        """Make this the count _openblas gives, beside numpy's own zgeev."""
+        real = spectra._openblas()
+        if real is None:
+            pytest.skip("numpy's BLAS is not OpenBLAS")
+        monkeypatch.setattr(spectra, "_openblas", lambda: real._replace(
+            get_threads=self.get, set_threads=self.set))
+
 
 @pytest.fixture
 def recorded_pools(monkeypatch):
@@ -243,7 +251,7 @@ def test_solve_many_caps_workers(tmp_path, monkeypatch, recorded_pools):
     # the pool has one thread per available core whatever --jobs is, only
     # misses reach it, and each cache key is solved or loaded once
     blas = FakeBlas(5)
-    monkeypatch.setattr(spectra, "_openblas_threads", lambda: (blas.get, blas.set))
+    blas.install(monkeypatch)
     cache = SpectrumCache(tmp_path)
     specs = [PropagatorSpec(dim, OpeningSpec("0.3", "0.1")) for dim in (16, 18, 20)]
     mirror = PropagatorSpec(16, OpeningSpec("0.7", "0.1"))
@@ -284,7 +292,7 @@ def test_solve_many_restores_blas_threads_when_a_solve_raises(tmp_path, monkeypa
             raise EigensolverError("QR iteration did not converge")
         return solve(m, overwrite)
 
-    monkeypatch.setattr(spectra, "_openblas_threads", lambda: (blas.get, blas.set))
+    blas.install(monkeypatch)
     monkeypatch.setattr(spectra, "eigenvalues", failing)
     monkeypatch.setattr(spectra, "_available_cores", lambda: 2)
     cache = SpectrumCache(tmp_path)
@@ -299,10 +307,10 @@ def test_solve_many_restores_blas_threads_when_a_solve_raises(tmp_path, monkeypa
 
 
 def test_solve_many_restores_the_real_blas_thread_count(tmp_path, monkeypatch):
-    api = spectra._openblas_threads()
-    if api is None:
-        pytest.skip("numpy's BLAS exports no OpenBLAS thread-count symbol")
-    get, _ = api
+    blas = spectra._openblas()
+    if blas is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    get = blas.get_threads
     before = get()
     seen = []
     solve = spectra.eigenvalues
@@ -607,6 +615,8 @@ def test_width_nmax_above_solver_cap_is_a_usage_error(tmp_path, capsys, monkeypa
         (["stats", "rescaled", "--n", "16,32", "--qc", "0.5", "--dq", "0"],
          "the closed map (--dq 0) has no escape rate to rescale by; "
          "give one with --gamma-cl"),
+        (["stats", "histogram", "--n", "16", "--qc", "0.5", "--dq", "0.1",
+          "--range", "0:1e400"], "--range bounds must be finite floats"),
     ],
 )
 def test_bad_spectral_inputs_fail_before_solving(
@@ -640,6 +650,32 @@ def test_usage_errors_print_one_line(tmp_path, capsys, argv, message):
         main(argv + ["--out", str(tmp_path / "out")])
     assert exc.value.code == 2
     assert capsys.readouterr().err.splitlines() == [message]
+
+
+@pytest.mark.parametrize("flag", ["--out", "--cache"])
+def test_a_file_where_a_directory_goes_is_one_line(tmp_path, capsys, flag):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, out, err = run(["spectrum", "--out", str(tmp_path / "out"), "--n", "16",
+                          "--qc", "0.5", "--dq", "0.1", flag, str(blocker)], capsys)
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and str(blocker) in err
+
+
+@pytest.mark.parametrize("manifest, message", [
+    (b"[]", "error: manifest {} is not a JSON object"),
+    (b"{", "error: unreadable manifest {}: "),
+    (b"\xff", "error: unreadable manifest {}: "),
+])
+def test_a_malformed_manifest_is_one_line(tmp_path, capsys, manifest, message):
+    argv = ["spectrum", "--out", str(tmp_path), "--n", "16", "--qc", "0.5", "--dq", "0.1"]
+    assert run(argv, capsys)[0] == 0
+    (path,) = (tmp_path / "cache").glob("*.json")
+    path.write_bytes(manifest)
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith(message.format(path.name))
 
 
 def test_parser_defaults_are_parsed():

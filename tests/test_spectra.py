@@ -1,14 +1,19 @@
 """Eigensolver wrapper, canonical ordering, and the slow oracle."""
 
 import ctypes
+import os
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 from scipy.optimize import linear_sum_assignment
 
 from openbaker import spectra
@@ -58,26 +63,100 @@ def test_eigenvalues_identity():
 @pytest.fixture
 def one_blas_thread():
     """Pin the real OpenBLAS thread count to 1 where it is known, then restore it."""
-    api = spectra._openblas_threads()
-    if api is None:
+    blas = spectra._openblas()
+    if blas is None:
         yield
         return
-    get, put = api
-    before = get()
-    put(1)
+    before = blas.get_threads()
+    blas.set_threads(1)
     try:
         yield
     finally:
-        put(before)
+        blas.set_threads(before)
 
 
 def same_bits(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def load_only(monkeypatch, *names):
+    """Have ctypes load, in place of any library, one exporting only names.
+
+    Returns the paths asked for.
+    """
+    paths = []
+
+    def cdll(path):
+        paths.append(path)
+        return SimpleNamespace(**{name: SimpleNamespace() for name in names})
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    return paths
+
+
+def test_resolver_needs_a_whole_row_of_numpys_linalg_extension(monkeypatch):
+    resolve = spectra._openblas.__wrapped__  # past the cache
+    # MKL and Accelerate export a zgeev_ but no OpenBLAS thread pair, so
+    # eigenvalues falls back to numpy
+    paths = load_only(monkeypatch, "zgeev_")
+    assert resolve() is None
+    assert paths == [_umath_linalg.__file__]
+    # halves of two rows do not make one
+    load_only(monkeypatch, "zgeev_", "openblas_get_num_threads",
+              "scipy_openblas_set_num_threads64_")
+    assert resolve() is None
+    load_only(monkeypatch, "zgeev_", "openblas_get_num_threads", "openblas_set_num_threads")
+    assert resolve().fint is ctypes.c_int32
+    # the first whole row wins
+    load_only(monkeypatch, "zgeev_", "openblas_get_num_threads", "openblas_set_num_threads",
+              "zgeev_64_", "openblas_get_num_threads64_", "openblas_set_num_threads64_")
+    assert resolve().fint is ctypes.c_int64
+
+    def unloadable(path):
+        raise OSError(f"cannot load {path}")
+
+    monkeypatch.setattr(ctypes, "CDLL", unloadable)
+    assert resolve() is None
+
+
+def test_resolver_finds_the_same_symbols_after_scipy_loads_its_own_copy():
+    # scipy's OpenBLAS exports scipy_zgeev_ and a thread pair of its own;
+    # the lookup goes through numpy's extension, so it never sees them
+    src = str(Path(spectra.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    probe = (
+        "import ctypes, sys\n"
+        "from openbaker import spectra\n"
+        "def symbols():\n"
+        "    spectra._openblas.cache_clear()\n"
+        "    blas = spectra._openblas()\n"
+        "    return blas and [blas.fint.__name__] + [\n"
+        "        (f.__name__, ctypes.cast(f, ctypes.c_void_p).value)\n"
+        "        for f in (blas.zgeev, blas.get_threads, blas.set_threads)]\n"
+        "before = symbols()\n"
+        "assert 'scipy' not in sys.modules\n"
+        "import scipy.linalg\n"
+        "print(before == symbols(), before)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                            text=True, env=env, timeout=120, check=True)
+    assert result.stdout.startswith("True ")
+
+
+def test_available_cores_reads_the_cpu_affinity(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {2, 5}, raising=False)
+    assert spectra._available_cores() == 2
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert spectra._available_cores() == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert spectra._available_cores() == 1
+
+
 def test_lapack_call_matches_numpy_bit_for_bit(one_blas_thread):
-    if spectra._lapack_zgeev() is None:
-        pytest.skip("the loaded OpenBLAS exports no zgeev")
+    if spectra._openblas() is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
     rng = np.random.default_rng(7)
     for n in (1, 2, 7, 130, 333, 501):
         m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -108,17 +187,20 @@ def test_lapack_call_ignores_layout_and_keeps_input_unless_told(one_blas_thread)
 
 
 def test_lapack_call_maps_info_to_errors(monkeypatch):
+    blas = FakeBlas(1)
+
     def fake_zgeev(info):
         def zgeev(*args):
             args[-1]._obj.value = info  # INFO, passed by reference
-        return lambda: (zgeev, ctypes.c_int64)
+        return lambda: spectra._OpenBlas(zgeev, ctypes.c_int64, blas.get, blas.set)
 
-    monkeypatch.setattr(spectra, "_lapack_zgeev", fake_zgeev(3))
+    monkeypatch.setattr(spectra, "_openblas", fake_zgeev(3))
     with pytest.raises(EigensolverError, match="3 eigenvalues did not converge"):
         eigenvalues(np.eye(4))
-    monkeypatch.setattr(spectra, "_lapack_zgeev", fake_zgeev(-5))
+    monkeypatch.setattr(spectra, "_openblas", fake_zgeev(-5))
     with pytest.raises(RuntimeError, match="argument 5"):
         eigenvalues(np.eye(4))
+    assert blas.sets == []
 
 
 def test_sort_canonical_order():
@@ -280,6 +362,17 @@ class FakeBlas:
         self.sets.append(n)
         self.threads = n
 
+    def install(self, monkeypatch):
+        """Make this the count _openblas gives, beside numpy's own zgeev.
+
+        Where numpy's BLAS is not OpenBLAS the zgeev is None, so a test
+        that installs this solves through a stand-in eigenvalues.
+        """
+        real = spectra._openblas()
+        zgeev, fint = (real.zgeev, real.fint) if real else (None, None)
+        monkeypatch.setattr(spectra, "_openblas",
+                            lambda: spectra._OpenBlas(zgeev, fint, self.get, self.set))
+
 
 def record_solves(monkeypatch, blas, fail_call=None):
     """Log (thread, BLAS count) for each eigenvalues call, solved by numpy.
@@ -294,7 +387,7 @@ def record_solves(monkeypatch, blas, fail_call=None):
             raise EigensolverError("QR iteration did not converge")
         return np.linalg.eigvals(m)
 
-    monkeypatch.setattr(spectra, "_openblas_threads", lambda: (blas.get, blas.set))
+    blas.install(monkeypatch)
     monkeypatch.setattr(spectra, "eigenvalues", recording)
     return calls
 
@@ -326,7 +419,7 @@ def test_every_block_solves_on_the_pool_at_one_blas_thread(monkeypatch):
     resonance_set(ASYMMETRIC)
     assert calls == [(False, 1)] and blas.sets == [1, 4, 1, 1, 1, 4]
     # without a known BLAS the count is left alone
-    monkeypatch.setattr(spectra, "_openblas_threads", lambda: None)
+    monkeypatch.setattr(spectra, "_openblas", lambda: None)
     assert same_bits(resonance_set(SYMMETRIC).values, paired)
     assert len(blas.sets) == 6
 
@@ -436,7 +529,8 @@ def test_jobs_bounds_the_spectra_in_flight(monkeypatch):
         next(resonance_sets(specs, 0))
 
 
-def test_fallback_gives_the_same_bits_with_numpy(monkeypatch):
+def test_fallback_gives_the_same_bits_with_numpy(monkeypatch, one_blas_thread):
+    # the real count is pinned by the fixture, since the fallback pins none
     spec = PropagatorSpec(130, OpeningSpec("0", "0.2"))
     assert is_mirror_symmetric(spec)
     solved = resonance_set(spec).values
@@ -447,7 +541,7 @@ def test_fallback_gives_the_same_bits_with_numpy(monkeypatch):
         calls.append(threading.current_thread() is threading.main_thread())
         return numpy_eigvals(m)
 
-    monkeypatch.setattr(spectra, "_lapack_zgeev", lambda: None)
+    monkeypatch.setattr(spectra, "_openblas", lambda: None)
     monkeypatch.setattr(np.linalg, "eigvals", recording)
     assert same_bits(resonance_set(spec).values, solved)
     assert calls == [False, False]
