@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import shutil
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -148,7 +147,7 @@ def _solve_many(specs, cache: SpectrumCache, jobs: int) -> dict:
     Specs sharing a cache entry (mirror openings, say) are solved or
     loaded once; each gets its own ResonanceSet over those values.  Each
     miss is stored and read back while the rest solve, so hits and misses
-    alike hand on the verified parse-back of the stored CSV.
+    alike hand on the verified values of the stored payload.
     """
     first = {}
     for spec in specs:
@@ -204,13 +203,13 @@ def cmd_spectrum(args, out: Path, cache: SpectrumCache) -> None:
     opening = OpeningSpec(args.qc, args.dq)
     specs = [PropagatorSpec(dim, opening) for dim in args.n]
     hits = {spec: cache.has(spec) for spec in specs}
-    _solve_many(specs, cache, args.jobs)
+    solved = _solve_many(specs, cache, args.jobs)
     for spec in specs:
         path = out / (
             f"spectrum_N{spec.dim}_qc{_num(args.qc)}_dq{_num(args.dq)}.csv"
         )
-        # copy the payload bytes so reruns are identical to the cache
-        shutil.copyfile(cache.payload_path(spec), path)
+        # rendered from the verified payload, so reruns write the same bytes
+        csvio.write_spectrum_csv(path, solved[spec].values)
         _emit(path, args)
         print(f"spectrum N={spec.dim}: {'cache hit' if hits[spec] else 'computed'}")
 
@@ -409,8 +408,19 @@ def _check_specs(parser, qcs, dqs, dims=()) -> None:
         parser.error(str(exc))
 
 
+def _can_be_directory(path: Path) -> bool:
+    """Whether path is a directory or mkdir(parents=True) could make it one."""
+    for p in (path, *path.parents):
+        if p.exists():
+            return p.is_dir()
+    return True
+
+
 def _validate(args, parser: argparse.ArgumentParser) -> None:
     """Reject bad inputs with exit status 2 before anything is built."""
+    for flag, value in (("--out", args.out), ("--cache", args.cache)):
+        if value is not None and not _can_be_directory(Path(value)):
+            parser.error(f"{flag} {value} is not a directory")
     dims = getattr(args, "n", None)
     if dims and max(dims) > MAX_EIGEN_DIM:
         parser.error(f"--n {max(dims)} exceeds the solver cap {MAX_EIGEN_DIM}")
@@ -485,7 +495,6 @@ def main(argv=None) -> int:
     _validate(args, parser)
     out = Path(args.out)
     try:
-        # an --out or --cache naming a file fails here, as an OSError
         out.mkdir(parents=True, exist_ok=True)
         cache = None
         if args.command != "classical" and getattr(args, "inject", None) is None:

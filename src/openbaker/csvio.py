@@ -29,35 +29,31 @@ RESCALED_HEADER = "gamma_over_gamma_cl,W"
 WEYL_HEADER = "N,count,log10N,log10count"
 
 
-def sig(x, digits: int = 15) -> str:
-    """Fixed significant-digit rendering; infinities print as inf."""
-    return format(float(x), f".{digits}g")
+def _write_text(path, header: str, lines: Iterable[str]) -> None:
+    """Write header and the already formatted, newline-terminated rows.
 
-
-def _write_text(path, header: str, rows: Iterable[Sequence[str]]) -> None:
+    Each writer formats a row with one %-format: "%.Ng" renders a number
+    exactly as format(float(x), ".Ng") does, infinities as inf.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        fh.writelines(lines)
 
 
 def write_sweep_csv(path, delta_q, t: int, rows) -> None:
     """One row per grid point: (q_c, area) pairs at fixed width and time."""
-    dq = sig(delta_q, 12)
     _write_text(
         path,
         SWEEP_HEADER,
-        ([sig(qc, 12), dq, str(t), sig(area, 12)] for qc, area in rows),
+        ("%.12g,%.12g,%d,%.12g\n" % (qc, delta_q, t, area) for qc, area in rows),
     )
 
 
 def write_series_csv(path, series: SurvivalSeries) -> None:
     _write_text(
-        path,
-        SERIES_HEADER,
-        ([str(t), sig(area, 12)] for t, area in series.as_rows()),
+        path, SERIES_HEADER, ("%d,%.12g\n" % row for row in series.as_rows())
     )
 
 
@@ -70,13 +66,15 @@ def write_spectrum_csv(path, values: np.ndarray) -> None:
     moduli = np.abs(values)
     with np.errstate(divide="ignore"):
         gammas = -2.0 * np.log(moduli)
+    rows = zip(
+        range(values.size),
+        values.real.tolist(),
+        values.imag.tolist(),
+        moduli.tolist(),
+        gammas.tolist(),
+    )
     _write_text(
-        path,
-        SPECTRUM_HEADER,
-        (
-            [str(i)] + [sig(x, 17) for x in (z.real, z.imag, nu, g)]
-            for i, (z, nu, g) in enumerate(zip(values, moduli, gammas))
-        ),
+        path, SPECTRUM_HEADER, ("%d,%.17g,%.17g,%.17g,%.17g\n" % row for row in rows)
     )
 
 
@@ -97,16 +95,14 @@ def read_spectrum_csv(path) -> np.ndarray:
 
 
 def write_cumulative_csv(path, nu: np.ndarray, n: np.ndarray) -> None:
-    _write_text(
-        path, CUMULATIVE_HEADER, ([sig(a), sig(b)] for a, b in zip(nu, n))
-    )
+    _write_text(path, CUMULATIVE_HEADER, ("%.15g,%.15g\n" % row for row in zip(nu, n)))
 
 
 def write_histogram_csv(path, hist: ModulusHistogram) -> None:
     _write_text(
         path,
         HISTOGRAM_HEADER,
-        ([sig(e), sig(w)] for e, w in zip(hist.left_edges, hist.density)),
+        ("%.15g,%.15g\n" % row for row in zip(hist.left_edges, hist.density)),
     )
 
 
@@ -114,7 +110,7 @@ def write_width_csv(path, points: Sequence[WidthPoint]) -> None:
     _write_text(
         path,
         WIDTH_HEADER,
-        ([str(p.dim), sig(p.q_c), sig(p.sigma)] for p in points),
+        ("%d,%.15g,%.15g\n" % (p.dim, p.q_c, p.sigma) for p in points),
     )
 
 
@@ -123,7 +119,7 @@ def write_rescaled_csv(path, rh: RescaledHistogram) -> None:
     _write_text(
         path,
         RESCALED_HEADER,
-        ([sig(m), sig(w)] for m, w in zip(rh.midpoints, rh.density)),
+        ("%.15g,%.15g\n" % row for row in zip(rh.midpoints, rh.density)),
     )
 
 
@@ -132,7 +128,8 @@ def write_weyl_csv(path, points: Sequence[WeylDataPoint]) -> None:
         path,
         WEYL_HEADER,
         (
-            [str(p.dim), str(p.count), sig(np.log10(p.dim)), sig(np.log10(p.count))]
+            "%d,%d,%.15g,%.15g\n"
+            % (p.dim, p.count, np.log10(p.dim), np.log10(p.count))
             for p in points
         ),
     )

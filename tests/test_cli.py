@@ -1,6 +1,7 @@
 """End-to-end command line behavior, run in process."""
 
 import concurrent.futures
+import hashlib
 import json
 import os
 import subprocess
@@ -138,6 +139,19 @@ def test_spectrum_reruns_hit_cache(tmp_path, capsys):
     assert manifest["sha256"] == first
 
 
+def test_spectrum_renders_pinned_bytes(tmp_path, capsys):
+    # the CSV is rendered from the cached values on every run; these are
+    # the bytes of the 17-digit rendering of the solver's values, so a
+    # change to the render or to the payload's round trip shows here
+    argv = ["spectrum", "--out", str(tmp_path), "--n", "64", "--qc", "0.3", "--dq", "0.1"]
+    for expected in ("computed", "cache hit"):
+        code, out, _ = run(argv, capsys)
+        assert code == 0 and expected in out
+        assert csvio.sha256_file(tmp_path / "spectrum_N64_qc0.3_dq0.1.csv") == (
+            "fe8035ae0c0c7e429e33279f3cdccd8f1adc41c6869c67aeecf1dcdbe63f1abf"
+        )
+
+
 def test_spectrum_odd_dimension_fails_cleanly(tmp_path, capsys):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
@@ -269,7 +283,7 @@ def test_solve_many_caps_workers(tmp_path, monkeypatch, recorded_pools):
     monkeypatch.setattr(spectra, "_available_cores", lambda: 8)
     cli._solve_many(specs + [PropagatorSpec(22, OpeningSpec("0.3", "0.1"))], cache, 1)
     assert recorded_pools == [2, 8] and blas.sets == [1, 5, 1, 5]
-    assert len(list(tmp_path.glob("*.csv"))) == 4
+    assert len(list(tmp_path.glob("*.c16"))) == 4
 
 
 def test_jobs_are_capped_by_the_cpu_affinity(tmp_path, monkeypatch, recorded_pools):
@@ -343,8 +357,9 @@ def solve_to_cache(tmp_path, capsys, name, qc, dq, jobs) -> Path:
 def same_payloads(a: Path, b: Path) -> bool:
     names = sorted(p.name for p in a.iterdir())
     assert names == sorted(p.name for p in b.iterdir()) and len(names) == 6
-    return all((a / n).read_bytes() == (b / n).read_bytes()
-               for n in names if n.endswith(".csv"))
+    payloads = [n for n in names if n.endswith(".c16")]
+    assert len(payloads) == 3  # one per spectrum, so the comparison is not vacuous
+    return all((a / n).read_bytes() == (b / n).read_bytes() for n in payloads)
 
 
 def test_concurrent_solves_match_serial_ones(tmp_path, capsys, monkeypatch):
@@ -654,13 +669,19 @@ def test_usage_errors_print_one_line(tmp_path, capsys, argv, message):
 
 @pytest.mark.parametrize("flag", ["--out", "--cache"])
 def test_a_file_where_a_directory_goes_is_one_line(tmp_path, capsys, flag):
+    # rejected as a usage error before anything is created, also where
+    # the file is a parent of the directory asked for
     blocker = tmp_path / "file"
     blocker.write_text("")
-    code, out, err = run(["spectrum", "--out", str(tmp_path / "out"), "--n", "16",
-                          "--qc", "0.5", "--dq", "0.1", flag, str(blocker)], capsys)
-    assert code == 2
-    assert len(err.splitlines()) == 1
-    assert err.startswith("error: ") and str(blocker) in err
+    for target in (blocker, blocker / "sub"):
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "--out", str(tmp_path / "out"), "--n", "16",
+                  "--qc", "0.5", "--dq", "0.1", flag, str(target)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"openbaker: error: {flag} {target} is not a directory"
+        ]
+        assert sorted(tmp_path.iterdir()) == [blocker]
 
 
 @pytest.mark.parametrize("manifest, message", [
@@ -676,6 +697,24 @@ def test_a_malformed_manifest_is_one_line(tmp_path, capsys, manifest, message):
     code, out, err = run(argv, capsys)
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith(message.format(path.name))
+
+
+@pytest.mark.parametrize("cut, modes", [(-16, "15"), (-5, "15.6875"), (None, "17")])
+def test_a_payload_of_the_wrong_length_is_one_line(tmp_path, capsys, cut, modes):
+    argv = ["spectrum", "--out", str(tmp_path), "--n", "16", "--qc", "0.5", "--dq", "0.1"]
+    assert run(argv, capsys)[0] == 0
+    (payload,) = (tmp_path / "cache").glob("*.c16")
+    data = payload.read_bytes()[:cut] if cut else payload.read_bytes() + bytes(16)
+    payload.write_bytes(data)
+    manifest = payload.with_suffix(".json")
+    record = json.loads(manifest.read_text())
+    record["sha256"] = hashlib.sha256(data).hexdigest()
+    manifest.write_text(json.dumps(record))
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert err.splitlines() == [
+        f"error: {payload.name} holds {modes} modes, expected 16"
+    ]
 
 
 def test_parser_defaults_are_parsed():

@@ -1,7 +1,9 @@
 """CSV schemas, manifests, rasters and the spectrum cache contract."""
 
+import hashlib
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,13 @@ from openbaker.cache import CacheError, SpectrumCache, cache_key
 from openbaker.classical import OpeningSpec
 from openbaker.propagator import PropagatorSpec
 from openbaker.spectra import ResonanceSet, resonance_set
-from openbaker.stats import synthetic_power_law_points
+from openbaker.stats import (
+    ModulusHistogram,
+    RescaledHistogram,
+    WeylDataPoint,
+    WidthPoint,
+    synthetic_power_law_points,
+)
 from openbaker.trapped import SurvivalSeries, area_series
 
 
@@ -81,6 +89,81 @@ def test_pgm_bytes(tmp_path):
         csvio.write_pgm(path, img.astype(int))
 
 
+def sig(x, digits: int = 15) -> str:
+    """The writers' former per-field rendering, kept as their reference."""
+    return format(float(x), f".{digits}g")
+
+
+def reference_rows(rows) -> bytes:
+    return "".join(",".join(row) + "\n" for row in rows).encode("ascii")
+
+
+def special_doubles(count: int) -> np.ndarray:
+    """Signed zeros, infinities, nan, subnormals and random bit patterns."""
+    tiny = np.finfo(float).smallest_subnormal
+    fixed = [0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny, 3 * tiny,
+             np.finfo(float).tiny, np.finfo(float).max, 1 / 3, -2.5e-300, 1e22]
+    bits = np.random.default_rng(18).integers(0, 2**64, count, dtype=np.uint64)
+    return np.concatenate([fixed, bits.view(float)])
+
+
+FRACTIONS = [Fraction(0), Fraction(1, 3), Fraction(-7, 9), Fraction(10**30, 7),
+             Fraction(1, 10**320), Fraction(123456789012345678, 10**17)]
+
+
+def test_writers_match_the_per_field_rendering(tmp_path):
+    x = special_doubles(2000)
+    y = np.roll(x, 1)
+    ints = list(range(len(x)))
+    path = tmp_path / "out.csv"
+
+    def written(write, *args) -> bytes:
+        write(path, *args)
+        header, _, body = path.read_bytes().partition(b"\n")
+        return body
+
+    values = np.empty(len(x), complex)
+    values.real, values.imag = x, y
+    moduli = np.abs(values)
+    with np.errstate(divide="ignore"):
+        gammas = -2.0 * np.log(moduli)
+    assert written(csvio.write_spectrum_csv, values) == reference_rows(
+        [str(i)] + [sig(v, 17) for v in (z.real, z.imag, nu, g)]
+        for i, (z, nu, g) in enumerate(zip(values, moduli, gammas))
+    )
+    assert written(csvio.write_cumulative_csv, x, y) == reference_rows(
+        [sig(a), sig(b)] for a, b in zip(x, y)
+    )
+    hist = ModulusHistogram(lo=-0.0, hi=1.0, bin_width=1e-3, counts=x, density=y, n_total=1)
+    assert written(csvio.write_histogram_csv, hist) == reference_rows(
+        [sig(a), sig(b)] for a, b in zip(hist.left_edges, y)
+    )
+    rh = RescaledHistogram(gamma_cl=1.0, lefts=x, rights=y, density=x)
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert written(csvio.write_rescaled_csv, rh) == reference_rows(
+            [sig(a), sig(b)] for a, b in zip(rh.midpoints, x)
+        )
+    qcs = FRACTIONS + list(x)
+    points = [WidthPoint(dim=i, q_c=qc, sigma=s) for i, qc, s in zip(ints, qcs, y)]
+    assert written(csvio.write_width_csv, points) == reference_rows(
+        [str(p.dim), sig(p.q_c), sig(p.sigma)] for p in points
+    )
+    weyl = [WeylDataPoint(dim=2 + i, count=i, nu_cut=0.3) for i in ints[:50]]
+    with np.errstate(divide="ignore"):
+        assert written(csvio.write_weyl_csv, weyl) == reference_rows(
+            [str(p.dim), str(p.count), sig(np.log10(p.dim)), sig(np.log10(p.count))]
+            for p in weyl
+        )
+    rows = list(zip(qcs, reversed(qcs)))
+    assert written(csvio.write_sweep_csv, Fraction(1, 3), 9, rows) == reference_rows(
+        [sig(qc, 12), sig(Fraction(1, 3), 12), "9", sig(a, 12)] for qc, a in rows
+    )
+    series = SurvivalSeries(OpeningSpec(0.5, 0.1), tuple(qcs))
+    assert written(csvio.write_series_csv, series) == reference_rows(
+        [str(t), sig(a, 12)] for t, a in enumerate(qcs)
+    )
+
+
 def test_manifest_records_checksum(tmp_path):
     target = tmp_path / "data.csv"
     target.write_text("a,b\n1,2\n")
@@ -145,10 +228,33 @@ def test_cache_key_is_stable(dim, qc, dq, key, monkeypatch):
         (1266, "0.5", "0.1", "5465f08324275a977e1d4cf4bd27861d5be37cad65b70e90784f7294b5855868"),
     ],
 )
-def test_cache_key_names_solver_version_4(dim, qc, dq, key):
+def test_cache_key_names_solver_version_4(dim, qc, dq, key, monkeypatch):
     # version 4 solves every block on one BLAS thread; entries of version 3,
-    # whose last bits depended on the thread count, are never read again,
-    # and existing caches stay readable only while these digests hold
+    # whose last bits depended on the thread count, are never read again
+    monkeypatch.setattr(cache_module, "SOLVER_VERSION", 4)
+    cache_key.cache_clear()
+    try:
+        assert cache_key(PropagatorSpec(dim, OpeningSpec(qc, dq))) == key
+    finally:
+        cache_key.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "dim, qc, dq, key",
+    [
+        (64, "0.3", "0.1", "6d5b4d5a69c69cfc59e576f6526594687ff75aa5c7c8055b461662724ae7a524"),
+        (64, "0.7", "0.1", "6d5b4d5a69c69cfc59e576f6526594687ff75aa5c7c8055b461662724ae7a524"),
+        (50, "0.5", "0.1", "c373dad1b55a749d115e7c3baf38637c926b01aab4e2b1c9ce0582ed577bae13"),
+        (16, "0.5", "0", "bd8881c7d04ba8dda177c2014166cefd11ea23085a0efed88ee4773fa57b49eb"),
+        (16, "0.5", "1", "e1ecc05f4af40911030be0c7465760ada9a5e634ea7bda9939e55722ca6de2cd"),
+        (16, "0", "0.2", "6f51c4c33da66bc1802f97c3d3127eebd81ad758ec8eff465c282b02953b95c3"),
+        (1266, "0.5", "0.1", "7fee3e3775761e670d5f777f681a0526875ab7efc4e651a095df60e8d93f201c"),
+    ],
+)
+def test_cache_key_names_solver_version_5(dim, qc, dq, key):
+    # version 5 stores raw complex128 payloads; CSV payloads of version 4
+    # are never read again, and existing caches stay readable only while
+    # these digests hold
     assert cache_key(PropagatorSpec(dim, OpeningSpec(qc, dq))) == key
 
 
@@ -182,10 +288,19 @@ def test_cache_detects_corruption(tmp_path):
     spec = PropagatorSpec(16, OpeningSpec(0.3, 0.1))
     cache.get_or_compute(spec)
     payload = cache.payload_path(spec)
-    data = payload.read_bytes()
-    payload.write_bytes(data.replace(b"index", b"indEx", 1))
+    data = bytearray(payload.read_bytes())
+    data[37] ^= 0x01
+    payload.write_bytes(data)
     with pytest.raises(CacheError, match="checksum"):
         cache.load(spec)
+
+
+def forge_payload(cache: SpectrumCache, spec, data: bytes) -> None:
+    """Replace spec's payload by data and fix up the manifest checksum."""
+    cache.payload_path(spec).write_bytes(data)
+    manifest = json.loads(cache.manifest_path(spec).read_text())
+    manifest["sha256"] = hashlib.sha256(data).hexdigest()
+    cache.manifest_path(spec).write_text(json.dumps(manifest))
 
 
 def test_cache_trace_check_catches_consistent_tampering(tmp_path):
@@ -194,12 +309,36 @@ def test_cache_trace_check_catches_consistent_tampering(tmp_path):
     rs, _ = cache.get_or_compute(spec)
     tampered = rs.values.copy()
     tampered[0] = 0.9 + 0.1j
-    payload = cache.payload_path(spec)
-    csvio.write_spectrum_csv(payload, tampered)
-    manifest = json.loads(cache.manifest_path(spec).read_text())
-    manifest["sha256"] = csvio.sha256_file(payload)
-    cache.manifest_path(spec).write_text(json.dumps(manifest))
+    forge_payload(cache, spec, tampered.astype("<c16").tobytes())
     with pytest.raises(CacheError, match="trace"):
+        cache.load(spec)
+
+
+def test_cache_payload_holds_the_solved_bits(tmp_path):
+    cache = SpectrumCache(tmp_path)
+    spec = PropagatorSpec(16, OpeningSpec(0.3, 0.1))
+    values = resonance_set(spec).values
+    cache.store(spec, resonance_set(spec))
+    data = cache.payload_path(spec).read_bytes()
+    assert data == values.astype("<c16").tobytes() and len(data) == 16 * 16
+    manifest = json.loads(cache.manifest_path(spec).read_text())
+    assert manifest["sha256"] == hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("cut, modes", [
+    (slice(0, -16), "15"),  # truncated by one mode
+    (slice(0, -5), "15.6875"),  # not a whole number of modes
+    (slice(0, None), "17"),  # one mode too many (appended below)
+])
+def test_cache_rejects_a_payload_of_the_wrong_length(tmp_path, cut, modes):
+    cache = SpectrumCache(tmp_path)
+    spec = PropagatorSpec(16, OpeningSpec(0.3, 0.1))
+    cache.get_or_compute(spec)
+    data = cache.payload_path(spec).read_bytes()[cut]
+    if len(data) == 16 * 16:
+        data += np.zeros(1, "<c16").tobytes()
+    forge_payload(cache, spec, data)
+    with pytest.raises(CacheError, match=f"holds {modes} modes, expected 16$"):
         cache.load(spec)
 
 
@@ -224,16 +363,18 @@ def test_cache_store_survives_reentrant_writer(tmp_path, monkeypatch):
     cache = SpectrumCache(tmp_path)
     spec = PropagatorSpec(16, OpeningSpec(0.3, 0.1))
     rs = resonance_set(spec)
-    write = cache_module.write_spectrum_csv
+    staged_payload = cache.payload_path(spec).name
+    write_bytes = Path.write_bytes
     reentered = []
 
-    def write_then_reenter(path, values):
-        write(path, values)
-        if not reentered:
+    def write_then_reenter(path, data):
+        written = write_bytes(path, data)
+        if path.name.startswith(staged_payload) and not reentered:
             reentered.append(path)
             cache.store(spec, rs)
+        return written
 
-    monkeypatch.setattr(cache_module, "write_spectrum_csv", write_then_reenter)
+    monkeypatch.setattr(Path, "write_bytes", write_then_reenter)
     cache.store(spec, rs)
     assert reentered
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
@@ -266,22 +407,23 @@ def test_cache_store_keeps_the_committed_payload(tmp_path):
 
 def test_cache_load_survives_a_store_between_manifest_and_payload(tmp_path, monkeypatch):
     # a store of different last bits lands after load has read the
-    # manifest and before it hashes the payload, as a second process
+    # manifest and before it reads the payload, as a second process
     # sharing the cache directory can; load must still see one store
     cache = SpectrumCache(tmp_path)
     spec = PropagatorSpec(16, OpeningSpec(0.3, 0.1))
     first = resonance_set(spec)
     cache.store(spec, first)
-    sha256_file = cache_module.sha256_file
+    payload = cache.payload_path(spec)
+    read_bytes = Path.read_bytes
     reentered = []
 
-    def store_then_hash(path):
-        if not reentered:
+    def store_then_read(path):
+        if path == payload and not reentered:
             reentered.append(path)
             cache.store(spec, _last_bit_changed(first))
-        return sha256_file(path)
+        return read_bytes(path)
 
-    monkeypatch.setattr(cache_module, "sha256_file", store_then_hash)
+    monkeypatch.setattr(Path, "read_bytes", store_then_read)
     rs = cache.load(spec)
     assert reentered
     assert (rs.values == first.values).all()
