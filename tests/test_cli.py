@@ -699,12 +699,16 @@ def test_a_malformed_manifest_is_one_line(tmp_path, capsys, manifest, message):
     assert len(err.splitlines()) == 1 and err.startswith(message.format(path.name))
 
 
-@pytest.mark.parametrize("cut, modes", [(-16, "15"), (-5, "15.6875"), (None, "17")])
-def test_a_payload_of_the_wrong_length_is_one_line(tmp_path, capsys, cut, modes):
+@pytest.mark.parametrize("resize, modes", [
+    (lambda data: data[:-16], "15"),
+    (lambda data: data[:-5], "15.6875"),
+    (lambda data: data + bytes(16), "17"),
+])
+def test_a_payload_of_the_wrong_length_is_one_line(tmp_path, capsys, resize, modes):
     argv = ["spectrum", "--out", str(tmp_path), "--n", "16", "--qc", "0.5", "--dq", "0.1"]
     assert run(argv, capsys)[0] == 0
     (payload,) = (tmp_path / "cache").glob("*.c16")
-    data = payload.read_bytes()[:cut] if cut else payload.read_bytes() + bytes(16)
+    data = resize(payload.read_bytes())
     payload.write_bytes(data)
     manifest = payload.with_suffix(".json")
     record = json.loads(manifest.read_text())

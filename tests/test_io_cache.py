@@ -325,19 +325,19 @@ def test_cache_payload_holds_the_solved_bits(tmp_path):
     assert manifest["sha256"] == hashlib.sha256(data).hexdigest()
 
 
-@pytest.mark.parametrize("cut, modes", [
-    (slice(0, -16), "15"),  # truncated by one mode
-    (slice(0, -5), "15.6875"),  # not a whole number of modes
-    (slice(0, None), "17"),  # one mode too many (appended below)
-])
-def test_cache_rejects_a_payload_of_the_wrong_length(tmp_path, cut, modes):
+RESIZES = [
+    (lambda data: data[:-16], "15"),  # truncated by one mode
+    (lambda data: data[:-5], "15.6875"),  # not a whole number of modes
+    (lambda data: data + bytes(16), "17"),  # one mode too many
+]
+
+
+@pytest.mark.parametrize("resize, modes", RESIZES)
+def test_cache_rejects_a_payload_of_the_wrong_length(tmp_path, resize, modes):
     cache = SpectrumCache(tmp_path)
     spec = PropagatorSpec(16, OpeningSpec(0.3, 0.1))
     cache.get_or_compute(spec)
-    data = cache.payload_path(spec).read_bytes()[cut]
-    if len(data) == 16 * 16:
-        data += np.zeros(1, "<c16").tobytes()
-    forge_payload(cache, spec, data)
+    forge_payload(cache, spec, resize(cache.payload_path(spec).read_bytes()))
     with pytest.raises(CacheError, match=f"holds {modes} modes, expected 16$"):
         cache.load(spec)
 
