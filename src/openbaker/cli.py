@@ -63,18 +63,36 @@ MAX_RASTER_T = 20
 MAX_T = 1000
 
 
+def _expecting(form: str):
+    """Make a parser of text an argparse type that names the form it expects."""
+    def wrap(parse):
+        def convert(text: str):
+            try:
+                return parse(text)
+            except (ValueError, ZeroDivisionError):
+                raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}") from None
+        return convert
+    return wrap
+
+
+_fraction = _expecting("a decimal or fraction such as 0.3 or 3/10")(as_fraction)
+
+
+@_expecting("a comma list of decimals or fractions such as 0.1,1/5")
 def _fractions(text: str) -> list[Fraction]:
     if not text:
         return []
     return [as_fraction(part) for part in text.split(",")]
 
 
+@_expecting("a comma list of integers such as 512,1024")
 def _ints(text: str) -> list[int]:
     if not text:
         return []
     return [int(part) for part in text.split(",")]
 
 
+@_expecting("an integer")
 def _jobs(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -104,14 +122,12 @@ def _fit_range(text: str) -> FitRange:
     return FitRange(lo, hi)
 
 
+@_expecting("start:stop:step with step > 0 and stop >= start, such as 0:0.5:0.005")
 def _grid(text: str) -> list[Fraction]:
     """Inclusive decimal grid "start:stop:step" evaluated exactly."""
-    try:
-        start, stop, step = (as_fraction(p) for p in text.split(":"))
-    except Exception as exc:
-        raise ValueError(f"bad grid {text!r}, expected start:stop:step") from exc
+    start, stop, step = (as_fraction(p) for p in text.split(":"))
     if step <= 0 or stop < start:
-        raise ValueError(f"bad grid {text!r}")
+        raise ValueError(text)
     count = (stop - start) // step + 1
     if count > MAX_GRID_POINTS:
         raise argparse.ArgumentTypeError(
@@ -120,11 +136,10 @@ def _grid(text: str) -> list[Fraction]:
     return [start + k * step for k in range(count)]
 
 
+@_expecting("lo:hi, such as 0:1")
 def _pair(text: str) -> tuple[Fraction, Fraction]:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise ValueError(f"expected two colon-separated values, got {text!r}")
-    return as_fraction(parts[0]), as_fraction(parts[1])
+    lo, hi = (as_fraction(part) for part in text.split(":"))
+    return lo, hi
 
 
 def _num(x) -> str:
@@ -361,8 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("spectrum", parents=[common],
                        help="resonance spectra through the cache")
     s.add_argument("--n", type=_ints, required=True, help="comma list of dimensions")
-    s.add_argument("--qc", type=as_fraction, required=True)
-    s.add_argument("--dq", type=as_fraction, required=True)
+    s.add_argument("--qc", type=_fraction, required=True)
+    s.add_argument("--dq", type=_fraction, required=True)
     s.set_defaults(func=cmd_spectrum)
 
     st = sub.add_parser("stats", parents=[common],
@@ -370,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("mode", choices=("cumulative", "histogram", "width", "rescaled"))
     st.add_argument("--n", type=_ints, default=_ints(""))
     st.add_argument("--qc", type=_fractions, default=_fractions(""))
-    st.add_argument("--dq", type=as_fraction, required=True)
+    st.add_argument("--dq", type=_fraction, required=True)
     st.add_argument("--bin", type=float, default=DEFAULT_BIN_WIDTH)
     st.add_argument("--range", type=_pair, default=_pair("0:1"),
                     help="histogram modulus range lo:hi")
@@ -385,8 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     w = sub.add_parser("weyl", parents=[common],
                        help="long-lived mode counts and power-law fit")
-    w.add_argument("--qc", type=as_fraction)
-    w.add_argument("--dq", type=as_fraction)
+    w.add_argument("--qc", type=_fraction)
+    w.add_argument("--dq", type=_fraction)
     w.add_argument("--n", type=_ints, default=_ints(""),
                    help=f"dimensions (default {','.join(map(str, WEYL_DIM_PRESETS))})")
     w.add_argument("--nu-cut", type=float, default=DEFAULT_NU_CUT)

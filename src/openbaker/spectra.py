@@ -35,8 +35,9 @@ _OPENBLAS_SYMBOLS = (
     ("zgeev_", ctypes.c_int32, "openblas_get_num_threads", "openblas_set_num_threads"),
 )
 
-# held while _one_blas_thread has the thread count at one
+# held while _one_blas_thread has the thread count at one, by _blas_holder
 _blas_lock = threading.Lock()
+_blas_holder = None
 
 
 class EigensolverError(RuntimeError):
@@ -149,20 +150,27 @@ def _available_cores() -> int:
 def _one_blas_thread():
     """Hold OpenBLAS at one thread, restoring the count on exit.
 
-    The count is process-wide, hence the lock: one holder at a time.  With
-    a BLAS other than OpenBLAS the count is left alone.
+    The count is process-wide, hence the lock: one holder at a time.  The
+    lock is not reentrant, so the holder's second entry (a solve inside a
+    resonance_sets loop) raises instead of waiting forever.  With a BLAS
+    other than OpenBLAS the count is left alone.
     """
+    global _blas_holder
+    if _blas_holder == threading.get_ident():
+        raise RuntimeError("this thread already holds the one-BLAS-thread pin: a solve or "
+                           "trapped.exact_escape inside a resonance_sets loop would wait forever")
+    blas = _openblas()
     with _blas_lock:
-        blas = _openblas()
-        if blas is None:
-            yield
-            return
-        total = blas.get_threads()
-        blas.set_threads(1)
+        total = blas.get_threads() if blas else None
+        _blas_holder = threading.get_ident()
         try:
+            if blas:
+                blas.set_threads(1)
             yield
         finally:
-            blas.set_threads(total)
+            _blas_holder = None
+            if blas:
+                blas.set_threads(total)
 
 
 def sort_spectrum(w: np.ndarray) -> np.ndarray:
@@ -230,8 +238,8 @@ def resonance_sets(specs, jobs: int = 1) -> Iterator[ResonanceSet]:
     min(jobs, cores) specs are alive; the next is handed out before a
     finished spec is yielded, so the consumer's work overlaps the solves.
     Finished, raised or closed early, the pool is joined and the count
-    restored.  The loop holds the BLAS lock across its yields, so a
-    consumer must not solve, or call trapped.exact_escape, inside it.
+    restored.  The loop holds the BLAS lock across its yields, so a solve,
+    or trapped.exact_escape, inside it raises RuntimeError.
     """
     specs = list(specs)
     if jobs < 1:

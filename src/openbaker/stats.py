@@ -19,6 +19,8 @@ from .spectra import ResonanceSet
 DEFAULT_BIN_WIDTH = 0.01
 TAIL_LO = 0.7
 DEFAULT_NU_CUT = 0.3
+# a histogram holds three float arrays of this length at most
+MAX_BINS = 100_000
 # snap tolerance for moduli that land just above 1 through roundoff
 EDGE_OVERSHOOT_TOL = 1e-8
 
@@ -57,10 +59,14 @@ class ModulusHistogram:
 
 def bin_count(bin_width: float, lo: float, hi: float) -> int:
     """Number of bins of width bin_width tiling [lo, hi], else ValueError."""
-    if bin_width <= 0:
-        raise ValueError("bin width must be positive")
+    if not bin_width > 0:  # also rejects nan
+        raise ValueError(f"bin width must be positive, got {bin_width}")
     if not lo < hi:
         raise ValueError(f"empty modulus range [{lo}, {hi}]")
+    if (hi - lo) / bin_width > MAX_BINS + 0.5:
+        raise ValueError(
+            f"bin width {bin_width} over [{lo}, {hi}] makes more than {MAX_BINS} bins"
+        )
     nbins = round((hi - lo) / bin_width)
     if nbins < 1 or abs(nbins * bin_width - (hi - lo)) > 1e-9:
         raise ValueError(f"bin width {bin_width} does not tile [{lo}, {hi}]")

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -27,7 +28,7 @@ from openbaker.cli import (
 )
 from openbaker.propagator import PropagatorSpec
 from openbaker.spectra import MAX_EIGEN_DIM, EigensolverError, resonance_set
-from openbaker.stats import rescaled_decay_histogram
+from openbaker.stats import MAX_BINS, bin_count, rescaled_decay_histogram
 from openbaker.trapped import exact_escape
 
 
@@ -174,13 +175,13 @@ def test_spectrum_mirror_openings_share_a_cache_entry(tmp_path, capsys):
     out_high, csv_high = spectrum(64, "0.7")
     assert "computed" in out_low and "cache hit" in out_high
     assert csv_high == csv_low
-    assert len(list(cache.iterdir())) == 2  # one manifest, one payload
+    assert len(list(cache.iterdir())) == 1  # one file per entry
     # at N = 602 the edge q = 0.25 falls on site 150, which (0.3, 0.1)
     # absorbs while the mirror image of (0.7, 0.1) keeps it
     spectrum(602, "0.3")
     out_high, _ = spectrum(602, "0.7")
     assert "computed" in out_high
-    assert len(list(cache.iterdir())) == 6
+    assert len(list(cache.iterdir())) == 3
 
 
 def test_stats_width_records_failures(tmp_path, capsys):
@@ -354,33 +355,74 @@ def solve_to_cache(tmp_path, capsys, name, qc, dq, jobs) -> Path:
     return cache
 
 
-def same_payloads(a: Path, b: Path) -> bool:
-    names = sorted(p.name for p in a.iterdir())
-    assert names == sorted(p.name for p in b.iterdir()) and len(names) == 6
-    payloads = [n for n in names if n.endswith(".c16")]
-    assert len(payloads) == 3  # one per spectrum, so the comparison is not vacuous
-    return all((a / n).read_bytes() == (b / n).read_bytes() for n in payloads)
+def tree_bytes(root: Path) -> dict:
+    """{relative path: bytes} of every file below root."""
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-def test_concurrent_solves_match_serial_ones(tmp_path, capsys, monkeypatch):
-    # every block runs on one BLAS thread, so --jobs changes no bit of the
-    # payloads, for full solves and for parity-split ones
+def same_trees(a: Path, b: Path) -> bool:
+    files = tree_bytes(a)
+    assert len(files) == 3  # one per spectrum, so the comparison is not vacuous
+    return files == tree_bytes(b)
+
+
+@pytest.fixture
+def later(monkeypatch):
+    """Each call moves the wall clock an hour ahead, so any file that records
+    when it was written differs between two runs."""
+    real_time, real_gmtime, real_localtime = time.time, time.gmtime, time.localtime
+    offset = 0.0
+
+    def now():
+        return real_time() + offset
+
+    def advance():
+        nonlocal offset
+        offset += 3600.0
+
+    monkeypatch.setattr(time, "time", now)
+    monkeypatch.setattr(time, "gmtime", lambda secs=None: real_gmtime(
+        now() if secs is None else secs))
+    monkeypatch.setattr(time, "localtime", lambda secs=None: real_localtime(
+        now() if secs is None else secs))
+    return advance
+
+
+def test_concurrent_solves_match_serial_ones(tmp_path, capsys, monkeypatch, later):
+    # every block runs on one BLAS thread, so --jobs changes no byte of the
+    # cache, for full solves and for parity-split ones
     monkeypatch.setattr(spectra, "_available_cores", lambda: 2)
     for qc, dq in (("0.3", "0.2"), ("0.5", "0.1")):
         pooled = solve_to_cache(tmp_path, capsys, f"{qc}-2", qc, dq, "2")
+        later()
         serial = solve_to_cache(tmp_path, capsys, f"{qc}-1", qc, dq, "1")
-        assert same_payloads(pooled, serial)
+        assert same_trees(pooled, serial)
         for dim in (502, 504, 506):
-            # load re-checks the manifest checksum and the trace identity
+            # load re-checks the embedded digest and the trace identity
             SpectrumCache(serial).load(PropagatorSpec(dim, OpeningSpec(qc, dq)))
 
 
-def test_core_count_changes_no_bits(tmp_path, capsys, monkeypatch):
+def test_core_count_changes_no_bits(tmp_path, capsys, monkeypatch, later):
     caches = []
     for cores in (1, 2):
         monkeypatch.setattr(spectra, "_available_cores", lambda: cores)
         caches.append(solve_to_cache(tmp_path, capsys, str(cores), "0.3", "0.2", "1"))
-    assert same_payloads(*caches)
+        later()
+    assert same_trees(*caches)
+
+
+def test_reruns_leave_identical_cache_trees(tmp_path, capsys, later):
+    # a rerun into a fresh cache, later, writes the same bytes, and a rerun
+    # that hits the cache leaves it as it was
+    first = solve_to_cache(tmp_path, capsys, "first", "0.3", "0.1", "1")
+    later()
+    again = solve_to_cache(tmp_path, capsys, "again", "0.3", "0.1", "1")
+    assert same_trees(first, again)
+    before = tree_bytes(first)
+    later()
+    assert solve_to_cache(tmp_path, capsys, "first", "0.3", "0.1", "1") == first
+    assert tree_bytes(first) == before
 
 
 def test_cli_import_loads_no_test_dependency():
@@ -632,6 +674,15 @@ def test_width_nmax_above_solver_cap_is_a_usage_error(tmp_path, capsys, monkeypa
          "give one with --gamma-cl"),
         (["stats", "histogram", "--n", "16", "--qc", "0.5", "--dq", "0.1",
           "--range", "0:1e400"], "--range bounds must be finite floats"),
+        # a bin count is capped before any array of that length is made
+        (["stats", "histogram", "--n", "16", "--qc", "0.5", "--dq", "0.1", "--bin", "1e-9"],
+         f"bin width 1e-09 over [0.0, 1.0] makes more than {MAX_BINS} bins"),
+        (["stats", "width", "--qc", "0.5", "--dq", "0.1", "--bin", "1e-300"],
+         f"bin width 1e-300 over [0.7, 1.0] makes more than {MAX_BINS} bins"),
+        (["stats", "histogram", "--n", "16", "--qc", "0.5", "--dq", "0.1", "--bin", "nan"],
+         "bin width must be positive, got nan"),
+        (["stats", "width", "--qc", "0.5", "--dq", "0.1", "--bin", "-0.01"],
+         "bin width must be positive, got -0.01"),
     ],
 )
 def test_bad_spectral_inputs_fail_before_solving(
@@ -684,16 +735,16 @@ def test_a_file_where_a_directory_goes_is_one_line(tmp_path, capsys, flag):
         assert sorted(tmp_path.iterdir()) == [blocker]
 
 
-@pytest.mark.parametrize("manifest, message", [
-    (b"[]", "error: manifest {} is not a JSON object"),
-    (b"{", "error: unreadable manifest {}: "),
-    (b"\xff", "error: unreadable manifest {}: "),
-])
-def test_a_malformed_manifest_is_one_line(tmp_path, capsys, manifest, message):
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda data: data[:20], "error: checksum mismatch for {}: "),
+    (lambda data: bytes([data[0] ^ 1]) + data[1:], "error: checksum mismatch for {}: "),
+    (lambda data: data[:-1] + bytes([data[-1] ^ 1]), "error: checksum mismatch for {}: "),
+], ids=["shorter than the digest", "digest byte flipped", "value byte flipped"])
+def test_a_corrupt_entry_is_one_line(tmp_path, capsys, corrupt, message):
     argv = ["spectrum", "--out", str(tmp_path), "--n", "16", "--qc", "0.5", "--dq", "0.1"]
     assert run(argv, capsys)[0] == 0
-    (path,) = (tmp_path / "cache").glob("*.json")
-    path.write_bytes(manifest)
+    (path,) = (tmp_path / "cache").iterdir()
+    path.write_bytes(corrupt(path.read_bytes()))
     code, out, err = run(argv, capsys)
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith(message.format(path.name))
@@ -707,18 +758,44 @@ def test_a_malformed_manifest_is_one_line(tmp_path, capsys, manifest, message):
 def test_a_payload_of_the_wrong_length_is_one_line(tmp_path, capsys, resize, modes):
     argv = ["spectrum", "--out", str(tmp_path), "--n", "16", "--qc", "0.5", "--dq", "0.1"]
     assert run(argv, capsys)[0] == 0
-    (payload,) = (tmp_path / "cache").glob("*.c16")
-    data = resize(payload.read_bytes())
-    payload.write_bytes(data)
-    manifest = payload.with_suffix(".json")
-    record = json.loads(manifest.read_text())
-    record["sha256"] = hashlib.sha256(data).hexdigest()
-    manifest.write_text(json.dumps(record))
+    (entry,) = (tmp_path / "cache").iterdir()
+    values = resize(entry.read_bytes()[32:])
+    entry.write_bytes(hashlib.sha256(values).digest() + values)  # a consistent digest
     code, out, err = run(argv, capsys)
     assert code == 2
     assert err.splitlines() == [
-        f"error: {payload.name} holds {modes} modes, expected 16"
+        f"error: {entry.name} holds {modes} modes, expected 16"
     ]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["classical", "--grid", "0:0.5"], "argument --grid: expected start:stop:step with "
+     "step > 0 and stop >= start, such as 0:0.5:0.005, got '0:0.5'"),
+    (["classical", "--grid", "0.5:0:0.1"], "argument --grid: expected start:stop:step with "
+     "step > 0 and stop >= start, such as 0:0.5:0.005, got '0.5:0:0.1'"),
+    (["classical", "--dq", "0.1,x"], "argument --dq: expected a comma list of decimals "
+     "or fractions such as 0.1,1/5, got '0.1,x'"),
+    (["stats", "histogram", "--dq", "0.1", "--range", "0.2"],
+     "argument --range: expected lo:hi, such as 0:1, got '0.2'"),
+    (["spectrum", "--qc", "0.5", "--dq", "0.1", "--n", "a"],
+     "argument --n: expected a comma list of integers such as 512,1024, got 'a'"),
+    (["spectrum", "--n", "16", "--qc", "0.5", "--dq", "0.1", "--jobs", "x"],
+     "argument --jobs: expected an integer, got 'x'"),
+    (["spectrum", "--n", "16", "--dq", "0.1", "--qc", "x"],
+     "argument --qc: expected a decimal or fraction such as 0.3 or 3/10, got 'x'"),
+    (["weyl", "--qc", "0.5", "--dq", "1/0"],
+     "argument --dq: expected a decimal or fraction such as 0.3 or 3/10, got '1/0'"),
+])
+def test_malformed_values_name_the_form_expected(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == f"openbaker {argv[0]}: error: {message}"
+
+
+def test_the_bin_cap_admits_its_own_count():
+    assert bin_count(1 / MAX_BINS, 0.0, 1.0) == MAX_BINS
 
 
 def test_parser_defaults_are_parsed():

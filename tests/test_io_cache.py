@@ -251,10 +251,33 @@ def test_cache_key_names_solver_version_4(dim, qc, dq, key, monkeypatch):
         (1266, "0.5", "0.1", "7fee3e3775761e670d5f777f681a0526875ab7efc4e651a095df60e8d93f201c"),
     ],
 )
-def test_cache_key_names_solver_version_5(dim, qc, dq, key):
+def test_cache_key_names_solver_version_5(dim, qc, dq, key, monkeypatch):
     # version 5 stores raw complex128 payloads; CSV payloads of version 4
-    # are never read again, and existing caches stay readable only while
-    # these digests hold
+    # are never read again
+    monkeypatch.setattr(cache_module, "SOLVER_VERSION", 5)
+    cache_key.cache_clear()
+    try:
+        assert cache_key(PropagatorSpec(dim, OpeningSpec(qc, dq))) == key
+    finally:
+        cache_key.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "dim, qc, dq, key",
+    [
+        (64, "0.3", "0.1", "268d3c4349e953bea8d851d8e776e70d4cbb35468afd5dd525d04134a4ca9cf1"),
+        (64, "0.7", "0.1", "268d3c4349e953bea8d851d8e776e70d4cbb35468afd5dd525d04134a4ca9cf1"),
+        (50, "0.5", "0.1", "147ebd7ee453cc4899e31f51e407326916c5609eee5db34b6a8dd09c22225aa4"),
+        (16, "0.5", "0", "7d8b39e5e9de6b513db85300b1b89771a947a50be37e067336dd75b9c415186b"),
+        (16, "0.5", "1", "76d4af3605e59f3f431c1dd6eb4550cee4534a91085152b9b0ccea9bd27ae4e7"),
+        (16, "0", "0.2", "077c48f608dfd6d517ac8ccbc94bc31dd875aa96e55928463ee0ae5e137a00fc"),
+        (1266, "0.5", "0.1", "3fc89264b1acdfca8b458974746503b762de7c4a7565b240525812df3540a8eb"),
+    ],
+)
+def test_cache_key_names_solver_version_6(dim, qc, dq, key):
+    # version 6 heads each entry with its digest and drops the manifest;
+    # entries of version 5 are never read again, and existing caches stay
+    # readable only while these digests hold
     assert cache_key(PropagatorSpec(dim, OpeningSpec(qc, dq))) == key
 
 
@@ -278,29 +301,35 @@ def test_cache_recompute_bitwise_identical(tmp_path):
     second = SpectrumCache(tmp_path / "b")
     first.get_or_compute(spec)
     second.get_or_compute(spec)
-    assert (
-        first.payload_path(spec).read_bytes() == second.payload_path(spec).read_bytes()
-    )
+    assert first.entry_path(spec).read_bytes() == second.entry_path(spec).read_bytes()
 
 
 def test_cache_detects_corruption(tmp_path):
     cache = SpectrumCache(tmp_path)
     spec = PropagatorSpec(16, OpeningSpec(0.3, 0.1))
     cache.get_or_compute(spec)
-    payload = cache.payload_path(spec)
-    data = bytearray(payload.read_bytes())
-    data[37] ^= 0x01
-    payload.write_bytes(data)
-    with pytest.raises(CacheError, match="checksum"):
-        cache.load(spec)
+    entry = cache.entry_path(spec)
+    committed = entry.read_bytes()
+    # one flipped bit in the digest, in the first value, in the last one,
+    # and a file shorter than the digest itself
+    flipped = []
+    for offset in (5, 37, len(committed) - 1):
+        data = bytearray(committed)
+        data[offset] ^= 0x01
+        flipped.append(bytes(data))
+    for data in flipped + [committed[:31], b""]:
+        entry.write_bytes(data)
+        with pytest.raises(CacheError, match="checksum mismatch"):
+            cache.load(spec)
 
 
-def forge_payload(cache: SpectrumCache, spec, data: bytes) -> None:
-    """Replace spec's payload by data and fix up the manifest checksum."""
-    cache.payload_path(spec).write_bytes(data)
-    manifest = json.loads(cache.manifest_path(spec).read_text())
-    manifest["sha256"] = hashlib.sha256(data).hexdigest()
-    cache.manifest_path(spec).write_text(json.dumps(manifest))
+def forge_payload(cache: SpectrumCache, spec, values: bytes) -> None:
+    """Replace spec's values by these bytes under their own digest."""
+    cache.entry_path(spec).write_bytes(hashlib.sha256(values).digest() + values)
+
+
+def entry_values(cache: SpectrumCache, spec) -> bytes:
+    return cache.entry_path(spec).read_bytes()[32:]
 
 
 def test_cache_trace_check_catches_consistent_tampering(tmp_path):
@@ -319,10 +348,9 @@ def test_cache_payload_holds_the_solved_bits(tmp_path):
     spec = PropagatorSpec(16, OpeningSpec(0.3, 0.1))
     values = resonance_set(spec).values
     cache.store(spec, resonance_set(spec))
-    data = cache.payload_path(spec).read_bytes()
-    assert data == values.astype("<c16").tobytes() and len(data) == 16 * 16
-    manifest = json.loads(cache.manifest_path(spec).read_text())
-    assert manifest["sha256"] == hashlib.sha256(data).hexdigest()
+    data = cache.entry_path(spec).read_bytes()
+    raw = values.astype("<c16").tobytes()
+    assert data == hashlib.sha256(raw).digest() + raw and len(data) == 32 + 16 * 16
 
 
 RESIZES = [
@@ -337,7 +365,7 @@ def test_cache_rejects_a_payload_of_the_wrong_length(tmp_path, resize, modes):
     cache = SpectrumCache(tmp_path)
     spec = PropagatorSpec(16, OpeningSpec(0.3, 0.1))
     cache.get_or_compute(spec)
-    forge_payload(cache, spec, resize(cache.payload_path(spec).read_bytes()))
+    forge_payload(cache, spec, resize(entry_values(cache, spec)))
     with pytest.raises(CacheError, match=f"holds {modes} modes, expected 16$"):
         cache.load(spec)
 
@@ -348,12 +376,9 @@ def test_cache_dimension_mismatch(tmp_path):
     spec18 = PropagatorSpec(18, OpeningSpec(0.3, 0.1))
     cache.get_or_compute(spec16)
     cache.get_or_compute(spec18)
-    # graft the wrong payload under the 18-site key
-    cache.payload_path(spec18).write_bytes(cache.payload_path(spec16).read_bytes())
-    manifest = json.loads(cache.manifest_path(spec18).read_text())
-    manifest["sha256"] = csvio.sha256_file(cache.payload_path(spec18))
-    cache.manifest_path(spec18).write_text(json.dumps(manifest))
-    with pytest.raises(CacheError, match="modes"):
+    # graft the 16-site values, under their own digest, onto the 18-site key
+    forge_payload(cache, spec18, entry_values(cache, spec16))
+    with pytest.raises(CacheError, match="holds 16 modes, expected 18$"):
         cache.load(spec18)
 
 
@@ -363,13 +388,13 @@ def test_cache_store_survives_reentrant_writer(tmp_path, monkeypatch):
     cache = SpectrumCache(tmp_path)
     spec = PropagatorSpec(16, OpeningSpec(0.3, 0.1))
     rs = resonance_set(spec)
-    staged_payload = cache.payload_path(spec).name
+    staged_entry = cache.entry_path(spec).name
     write_bytes = Path.write_bytes
     reentered = []
 
     def write_then_reenter(path, data):
         written = write_bytes(path, data)
-        if path.name.startswith(staged_payload) and not reentered:
+        if path.name.startswith(staged_entry) and not reentered:
             reentered.append(path)
             cache.store(spec, rs)
         return written
@@ -377,9 +402,7 @@ def test_cache_store_survives_reentrant_writer(tmp_path, monkeypatch):
     monkeypatch.setattr(Path, "write_bytes", write_then_reenter)
     cache.store(spec, rs)
     assert reentered
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-        [cache.payload_path(spec).name, cache.manifest_path(spec).name]
-    )
+    assert [p.name for p in tmp_path.iterdir()] == [cache.entry_path(spec).name]
     assert (cache.load(spec).values == resonance_set(spec).values).all()
 
 
@@ -390,40 +413,13 @@ def _last_bit_changed(rs: ResonanceSet) -> ResonanceSet:
 
 
 def test_cache_store_keeps_the_committed_payload(tmp_path):
+    # a later store, of other last bits, never changes a committed entry
     cache = SpectrumCache(tmp_path)
     spec = PropagatorSpec(16, OpeningSpec(0.3, 0.1))
     first = resonance_set(spec)
     cache.store(spec, first)
-    data = cache.payload_path(spec).read_bytes()
+    data = cache.entry_path(spec).read_bytes()
     cache.store(spec, _last_bit_changed(first))
-    assert cache.payload_path(spec).read_bytes() == data
+    assert cache.entry_path(spec).read_bytes() == data
     assert (cache.load(spec).values == first.values).all()
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-        [cache.payload_path(spec).name, cache.manifest_path(spec).name]
-    )
-    manifest = json.loads(cache.manifest_path(spec).read_text())
-    assert sorted(manifest) == ["created", "dim", "sha256", "solver_version", "tool_version"]
-
-
-def test_cache_load_survives_a_store_between_manifest_and_payload(tmp_path, monkeypatch):
-    # a store of different last bits lands after load has read the
-    # manifest and before it reads the payload, as a second process
-    # sharing the cache directory can; load must still see one store
-    cache = SpectrumCache(tmp_path)
-    spec = PropagatorSpec(16, OpeningSpec(0.3, 0.1))
-    first = resonance_set(spec)
-    cache.store(spec, first)
-    payload = cache.payload_path(spec)
-    read_bytes = Path.read_bytes
-    reentered = []
-
-    def store_then_read(path):
-        if path == payload and not reentered:
-            reentered.append(path)
-            cache.store(spec, _last_bit_changed(first))
-        return read_bytes(path)
-
-    monkeypatch.setattr(Path, "read_bytes", store_then_read)
-    rs = cache.load(spec)
-    assert reentered
-    assert (rs.values == first.values).all()
+    assert [p.name for p in tmp_path.iterdir()] == [cache.entry_path(spec).name]

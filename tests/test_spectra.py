@@ -494,6 +494,39 @@ def test_early_stop_releases_the_lock_and_joins_the_pool(monkeypatch):
     assert blas.sets == [1, 4] * 3
 
 
+def test_a_solve_inside_the_solve_loop_raises_instead_of_hanging():
+    # the loop holds the non-reentrant BLAS lock across its yields; a solve
+    # or an exact_escape on the same thread names the cause and leaves the
+    # lock free and the thread count restored.  A fresh process, so the
+    # exact_escape memo is cold and a regression times out, not the suite
+    src = str(Path(spectra.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    probe = (
+        "from openbaker import spectra, trapped\n"
+        "from openbaker.classical import OpeningSpec\n"
+        "from openbaker.propagator import PropagatorSpec\n"
+        "blas = spectra._openblas()\n"
+        "count = blas.get_threads if blas else lambda: None\n"
+        "before = count()\n"
+        "for nested in (\n"
+        "        lambda: spectra.resonance_set(PropagatorSpec(16, OpeningSpec('0.5', '0.1'))),\n"
+        "        lambda: trapped.exact_escape(OpeningSpec('0.3', '0.2'))):\n"
+        "    try:\n"
+        "        for rs in spectra.resonance_sets([PropagatorSpec(16, OpeningSpec('0.3', '0.1'))]):\n"
+        "            nested()\n"
+        "    except RuntimeError as exc:\n"
+        "        print(exc)\n"
+        "    print(spectra._blas_lock.locked(), count() == before)\n"
+        "print(trapped.exact_escape(OpeningSpec('0.3', '0.2')).rho > 1)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                            text=True, env=env, timeout=120, check=True)
+    reason = ("this thread already holds the one-BLAS-thread pin: a solve or "
+              "trapped.exact_escape inside a resonance_sets loop would wait forever")
+    assert result.stdout.splitlines() == [reason, "False True"] * 2 + ["True"]
+
+
 def test_jobs_bounds_the_spectra_in_flight(monkeypatch):
     # the blocks of at most min(jobs, cores) specs are alive, the next spec
     # is handed out before a finished one is yielded, and a spec is yielded
