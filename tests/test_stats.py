@@ -7,6 +7,7 @@ from openbaker.classical import OpeningSpec
 from openbaker.propagator import PropagatorSpec
 from openbaker.spectra import ResonanceSet, resonance_set, sort_spectrum
 from openbaker.stats import (
+    MAX_BINS,
     ModulusHistogram,
     cumulative_moduli,
     half_height_width,
@@ -72,6 +73,11 @@ def test_histogram_validation():
         modulus_histogram(rs, lo=0.9, hi=0.2)
     with pytest.raises(ValueError):
         modulus_histogram(rs, bin_width=0.0)
+    with pytest.raises(ValueError, match="positive, got nan"):
+        modulus_histogram(rs, bin_width=float("nan"))
+    with pytest.raises(ValueError, match=f"more than {MAX_BINS} bins"):
+        modulus_histogram(rs, bin_width=1e-9)
+    assert modulus_histogram(rs, bin_width=1 / MAX_BINS).counts.size == MAX_BINS
 
 
 def test_half_height_counts_qualifying_bins():
