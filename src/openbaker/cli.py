@@ -480,6 +480,8 @@ def _validate(args, parser: argparse.ArgumentParser) -> None:
                              "by; give one with --gamma-cl")
             if args.gamma_cl is not None and not 0 < args.gamma_cl < math.inf:
                 parser.error(f"--gamma-cl must be finite and positive, got {args.gamma_cl}")
+        if args.mode in ("width", "rescaled") and not math.isfinite(args.tail_lo):
+            parser.error(f"--tail-lo must be finite, got {args.tail_lo}")
         if args.mode != "cumulative":
             lo, hi = args.range if args.mode == "histogram" else (args.tail_lo, 1.0)
             try:

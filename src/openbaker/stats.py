@@ -61,6 +61,9 @@ def bin_count(bin_width: float, lo: float, hi: float) -> int:
     """Number of bins of width bin_width tiling [lo, hi], else ValueError."""
     if not bin_width > 0:  # also rejects nan
         raise ValueError(f"bin width must be positive, got {bin_width}")
+    for name, bound in (("lower", lo), ("upper", hi)):
+        if not math.isfinite(bound):
+            raise ValueError(f"{name} modulus bound must be finite, got {bound}")
     if not lo < hi:
         raise ValueError(f"empty modulus range [{lo}, {hi}]")
     if (hi - lo) / bin_width > MAX_BINS + 0.5:

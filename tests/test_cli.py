@@ -681,6 +681,15 @@ def test_width_nmax_above_solver_cap_is_a_usage_error(tmp_path, capsys, monkeypa
          "bin width must be positive, got nan"),
         (["stats", "width", "--qc", "0.5", "--dq", "0.1", "--bin", "-0.01"],
          "bin width must be positive, got -0.01"),
+        # a bound that is not a number is named before the range is judged
+        (["stats", "width", "--qc", "0.5", "--dq", "0.1", "--tail-lo", "nan"],
+         "--tail-lo must be finite, got nan"),
+        (["stats", "width", "--qc", "0.5", "--dq", "0.1", "--tail-lo", "inf"],
+         "--tail-lo must be finite, got inf"),
+        (["stats", "width", "--qc", "0.5", "--dq", "0.1", "--tail-lo=-inf"],
+         "--tail-lo must be finite, got -inf"),
+        (["stats", "rescaled", "--n", "16", "--qc", "0.5", "--dq", "0.1",
+          "--tail-lo", "nan"], "--tail-lo must be finite, got nan"),
     ],
 )
 def test_bad_spectral_inputs_fail_before_solving(

@@ -9,6 +9,7 @@ from openbaker.spectra import ResonanceSet, resonance_set, sort_spectrum
 from openbaker.stats import (
     MAX_BINS,
     ModulusHistogram,
+    bin_count,
     cumulative_moduli,
     half_height_width,
     modulus_histogram,
@@ -78,6 +79,22 @@ def test_histogram_validation():
     with pytest.raises(ValueError, match=f"more than {MAX_BINS} bins"):
         modulus_histogram(rs, bin_width=1e-9)
     assert modulus_histogram(rs, bin_width=1 / MAX_BINS).counts.size == MAX_BINS
+
+
+@pytest.mark.parametrize(
+    "lo, hi, message",
+    [
+        (float("nan"), 1.0, "lower modulus bound must be finite, got nan"),
+        (float("inf"), 1.0, "lower modulus bound must be finite, got inf"),
+        (float("-inf"), 1.0, "lower modulus bound must be finite, got -inf"),
+        (0.0, float("nan"), "upper modulus bound must be finite, got nan"),
+        (0.0, float("inf"), "upper modulus bound must be finite, got inf"),
+    ],
+)
+def test_bin_count_names_a_bound_that_is_not_finite(lo, hi, message):
+    with pytest.raises(ValueError) as err:
+        bin_count(0.01, lo, hi)
+    assert str(err.value) == message
 
 
 def test_half_height_counts_qualifying_bins():

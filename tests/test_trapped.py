@@ -2,6 +2,7 @@
 
 import math
 import threading
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -350,6 +351,117 @@ def test_monte_carlo_edges_next_to_one():
     o = OpeningSpec("0.99999999999999999999", "0.00000000000000000001")
     assert o.window(2**53) == (2**53, 0)
     assert monte_carlo_area(o, 4, 1000) == monte_carlo_area_float(o, 4, 1000) == (1.0, 0.0)
+
+
+# window edges on or next to a multiple of 2^48 .. 2^58, where the prefix
+# intervals of the stride table start and end
+aligned = st.builds(
+    lambda k, e, off: (k * 2**e + off) % 2**64,
+    st.integers(0, 2**16), st.integers(48, 58), st.sampled_from([-1, 0, 1]),
+)
+window_lows = st.one_of(st.integers(0, 2**64 - 1), aligned)
+window_widths = st.one_of(
+    st.integers(0, 2**64 - 1),
+    st.integers(0, 2**48),  # below every prefix interval
+    st.integers(2**64 - 2**58, 2**64 - 1),  # near the whole circle
+    aligned.filter(lambda w: w < 2**64 - 1),
+)
+
+
+def _assert_stride_table_sound(low, width, tails):
+    """Every sure claim of the table holds for words under each prefix.
+
+    The words are the first and last one under each prefix, plus the
+    prefix with each of ``tails`` as its low 48 bits.
+    """
+    stride = trapped._MC_STRIDE
+    table = trapped._stride_table(low, width)
+    assert table.shape == (2**16,) and table.dtype == np.int8
+    assert ((table >= -1) & (table <= stride)).all()
+    prefix = np.arange(2**16, dtype=np.uint64) << np.uint64(48)
+    ends = (np.uint64(0), np.uint64(2**48 - 1))
+    words = np.concatenate([prefix + tail for tail in (*ends, *tails)])
+    code = np.tile(table, len(ends) + len(tails)).astype(np.int64)
+    passes = np.array([
+        (words << np.uint64(j)) - np.uint64(low) >= np.uint64(width)
+        for j in range(stride)
+    ])
+    steps = np.arange(stride)[:, None]
+    sure = code >= 0
+    # c >= 0: tests 0 .. c - 1 all pass, and test c fails unless c = stride
+    assert passes[:, sure][steps < code[sure]].all()
+    fails = sure & (code < stride)
+    assert not passes[code[fails], np.flatnonzero(fails)].any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(window_lows, window_widths, st.integers(0, 2**32 - 1))
+@example(2**64 - 2**50, 2**51, 0)  # wraps through 0
+@example(3 * 2**48, 2**57, 1)  # edges on prefix boundaries
+def test_stride_table_claims_agree_with_the_per_step_test(low, width, seed):
+    tails = np.random.default_rng(seed).integers(0, 2**48, 2**16, dtype=np.uint64)
+    _assert_stride_table_sound(low, width, [tails])
+
+
+@pytest.mark.parametrize("low", [3 * 2**48, 2**57, 2**64 - 2**50])
+@pytest.mark.parametrize("width", [2**48, 5 * 2**52, 2**64 - 2**57])
+def test_stride_table_claims_hold_next_to_prefix_boundaries(low, width):
+    # off-by-one slips at an interval edge show only for edges on or next
+    # to a multiple of 2^48
+    for dl in (-1, 0, 1):
+        for dw in (-1, 0, 1):
+            _assert_stride_table_sound((low + dl) % 2**64, width + dw, [])
+
+
+@pytest.mark.parametrize("qc, dq", [(0.31, 0.1), (0.31, 0.05), (0.02, 0.1)])
+def test_stride_table_leaves_few_prefixes_doubtful(qc, dq):
+    low, width = OpeningSpec(qc, dq).window(2**53)
+    table = trapped._stride_table((low % 2**53) << 11, width << 11)
+    assert (table == -1).mean() < 0.02
+
+
+@pytest.mark.parametrize("qc, dq", [(0.02, 0.1), (0.31, 0.1)])  # (0.02, 0.1) wraps
+def test_monte_carlo_strides_match_float_orbits(qc, dq):
+    o = OpeningSpec(qc, dq)
+    s = trapped._MC_STRIDE
+    for t in (s - 1, s, s + 1, 2 * s, 2 * s + 5, 25):
+        assert monte_carlo_area(o, t, 20_011, seed=t) == monte_carlo_area_float(
+            o, t, 20_011, seed=t
+        )
+
+
+@pytest.mark.parametrize("stride", [1, 7, 16])
+def test_monte_carlo_does_not_depend_on_the_stride(monkeypatch, stride):
+    o = OpeningSpec(0.31, 0.1)
+    monkeypatch.setattr(trapped, "_MC_STRIDE", stride)
+    assert monte_carlo_area(o, 25, 20_011, seed=4) == monte_carlo_area_float(o, 25, 20_011, seed=4)
+
+
+def test_monte_carlo_benchmark_shape_golden_values():
+    # (p, se) of the sampler that tested one doubling per pass
+    assert monte_carlo_area(OpeningSpec("0.31", "0.1"), 25, 5 * 10**6, seed=7) == (
+        0.086993, 0.0001260358821534566)
+    assert monte_carlo_area(OpeningSpec("0.31", "0.05"), 25, 5 * 10**6, seed=7) == (
+        0.3490968, 0.00021317984155625974)
+
+
+def test_monte_carlo_long_orbits_stop_early():
+    # an empty chunk stops stepping, and delta_q = 0 returns at once
+    start = time.perf_counter()
+    assert monte_carlo_area(OpeningSpec(0.3, 0), 10**6, 1000) == (1.0, 0.0)
+    assert monte_carlo_area(OpeningSpec(0.5, 0.5), 10**6, 1000) == (0.0, 0.0)
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("t", [52, 53, 64, 65, 200])
+@pytest.mark.parametrize("qc", [0.9, 0.02])
+def test_monte_carlo_orbits_past_64_doublings(qc, t):
+    # 53 doublings take every k / 2^53 to 0 for good: the hole of
+    # (0.9, 0.1) leaves 0 outside, the one of (0.02, 0.1) takes it in
+    o = OpeningSpec(qc, 0.1)
+    p, se = monte_carlo_area(o, t, 10**4, seed=6)
+    assert (p, se) == monte_carlo_area_float(o, t, 10**4, seed=6)
+    assert (p > 0) == (qc == 0.9 or t == 52)
 
 
 def test_qc_sweep_grid():
