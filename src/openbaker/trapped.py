@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -29,7 +28,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .classical import OpeningSpec
-from .spectra import _available_cores, _one_blas_thread
+from .spectra import _one_blas_thread
 
 DEFAULT_FIT_RANGE = (5, 25)
 # Partitions are refused above this many cells, during the orbit walk.
@@ -45,9 +44,10 @@ _LN2 = math.log(2.0)
 # rng.random turns each raw 64-bit word w into k / 2^53 with k = w >> 11;
 # the sampler holds k * 2^11, w with its low 11 bits cleared.  Chunks hold
 # 2^16 samples (512 KiB of uint64): the benchmark's two calls (t = 25,
-# 5e6 samples each) took 0.30, 0.18, 0.12, 0.11 and 0.13 s at chunks of
-# 2^14 .. 2^18 on two cores (medians of 11, ten doublings per pass), and
-# 2^17 held about 3.8 MB more peak RSS than 2^16 for its 11%
+# 5e6 samples each) took 0.21 s at chunks of 2^14 and 0.13-0.18 s at
+# 2^15 .. 2^18, with no size ahead of the others (one thread, medians of
+# 11 in each of two runs); a fresh process running them peaked at 37.2,
+# 37.6, 37.2, 38.9 and 42.1 MB of RSS at 2^14 .. 2^18
 _MC_SCALE = 2**53
 _MC_SHIFT = 11
 _MC_CHUNK = 2**16
@@ -375,11 +375,9 @@ def monte_carlo_area(
     step, so t past 64 costs no more than t = 64.
 
     The calling thread draws chunks of _MC_CHUNK words in order from one
-    stream, and a pool with one thread per available core counts their
-    survivors, at most two chunks per thread in flight.  A sum of integer
-    counts does not depend on the order, so the result depends on neither
-    the chunk size nor the core count, and memory stays fixed in
-    n_samples.
+    stream and counts each chunk's survivors before it draws the next, so
+    memory stays fixed in n_samples and no thread is started.  The count
+    is an integer sum, so the result does not depend on the chunk size.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -423,22 +421,12 @@ def monte_carlo_area(
             left -= k
         return x.size
 
-    # imported on first use, as in spectra: importing openbaker alone does
-    # not load it
-    from concurrent.futures import ThreadPoolExecutor
-
-    workers = _available_cores()
     bits = np.random.default_rng(seed).bit_generator
     count = 0
-    pending = deque()
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for start in range(0, n_samples, _MC_CHUNK):
-            if len(pending) == 2 * workers:
-                count += pending.popleft().result()
-            x = bits.random_raw(min(_MC_CHUNK, n_samples - start))
-            x &= clear
-            pending.append(pool.submit(survivors, x))
-        count += sum(f.result() for f in pending)
+    for start in range(0, n_samples, _MC_CHUNK):
+        x = bits.random_raw(min(_MC_CHUNK, n_samples - start))
+        x &= clear
+        count += survivors(x)
     p = count / n_samples
     return p, math.sqrt(p * (1.0 - p) / n_samples)
 

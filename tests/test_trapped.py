@@ -283,13 +283,13 @@ def test_monte_carlo_chunk_size_invariance(monkeypatch):
     assert monte_carlo_area(o, 6, 100_003, seed=9) == whole
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_monte_carlo_result_does_not_depend_on_the_workers(monkeypatch, workers):
-    # 98 chunks turn the window of 2 chunks per worker over many times
+def test_monte_carlo_starts_no_thread(monkeypatch):
+    def refuse(self):
+        raise RuntimeError("the sampler started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
     o = OpeningSpec(0.31, 0.1)
-    monkeypatch.setattr(trapped, "_available_cores", lambda: workers)
-    monkeypatch.setattr(trapped, "_MC_CHUNK", 2**10)
-    assert monte_carlo_area(o, 6, 100_003, seed=9) == monte_carlo_area_float(o, 6, 100_003, seed=9)
+    assert monte_carlo_area(o, 25, 2 * 10**5) == monte_carlo_area_float(o, 25, 2 * 10**5)
 
 
 @pytest.mark.parametrize("seed", [0, 9, 20260825])
@@ -301,12 +301,10 @@ def test_random_doubles_are_the_top_53_bits_of_the_raw_stream(seed):
     assert ((doubles * 2**53).astype(np.uint64) == raw >> np.uint64(11)).all()
 
 
-def test_monte_carlo_memory_stays_within_the_chunks_in_flight(monkeypatch):
-    # 2 workers hold at most 4 chunks in flight and about 2 more each as
-    # working copies; drawing all 2e6 samples up front would hold 16 MB
-    monkeypatch.setattr(trapped, "_available_cores", lambda: 2)
+def test_monte_carlo_memory_stays_within_the_chunks_in_flight():
+    # one chunk is drawn at a time, with a few working copies beside it;
+    # drawing all 2e6 samples up front would hold 16 MB
     chunk_bytes = 8 * trapped._MC_CHUNK
-    monte_carlo_area(OpeningSpec(0.31, 0.1), 1, 10)  # imports the pool
     tracemalloc.start()
     try:
         monte_carlo_area(OpeningSpec(0.31, 0.1), 25, 2 * 10**6, seed=1)
