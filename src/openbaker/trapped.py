@@ -401,6 +401,8 @@ def monte_carlo_area(
     one = np.uint64(1)
     tests = min(t, 64) + 1
 
+    # a function, so that a chunk's working arrays are freed before the
+    # next draw: inlined in the loop, the job's peak RSS read 0.2 MB higher
     def survivors(x: np.ndarray) -> int:
         left = tests
         while left and x.size:
