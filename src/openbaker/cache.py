@@ -47,17 +47,16 @@ class CacheError(RuntimeError):
 @functools.lru_cache(maxsize=4096)
 def cache_key(spec: PropagatorSpec) -> str:
     """Hash of the dimension, canonical mask and solver version; memoized."""
-    keep, _ = spec.canonical_mask()
+    keep = spec.canonical_mask()
     head = f"dim={spec.dim};solver={SOLVER_VERSION};keep=".encode("ascii")
     return hashlib.sha256(head + keep.tobytes()).hexdigest()
 
 
 class SpectrumCache:
-    """Write-once store of spectra under one directory, one file each."""
+    """Write-once store of spectra, one file each, in a directory the first store makes."""
 
     def __init__(self, root):
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
 
     def entry_path(self, spec: PropagatorSpec) -> Path:
         return self.root / (cache_key(spec) + ".c16")
@@ -69,6 +68,7 @@ class SpectrumCache:
         """Stage digest and values, then hard-link them in; a committed entry is kept."""
         path = self.entry_path(spec)
         values = np.asarray(rs.values, dtype=PAYLOAD_DTYPE).tobytes()
+        self.root.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=self.root, prefix=path.name, suffix=".tmp")
         os.close(fd)
         try:

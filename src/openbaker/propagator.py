@@ -99,14 +99,13 @@ class PropagatorSpec:
         low, width = self.opening.window(2 * self.dim)
         return (2 * np.arange(self.dim) + 1 - low) % (2 * self.dim) >= width
 
-    def canonical_mask(self) -> tuple[np.ndarray, bool]:
-        """(mask, mirrored): kept_mask or its mirror image, whichever sorts first.
+    def canonical_mask(self) -> np.ndarray:
+        """kept_mask or its mirror image, whichever sorts first.
 
         R: j -> dim-1-j commutes with B bit for bit, so both give one spectrum.
         """
         keep = self.kept_mask()
-        mirrored = keep[::-1].tobytes() < keep.tobytes()
-        return (keep[::-1] if mirrored else keep), mirrored
+        return keep[::-1] if keep[::-1].tobytes() < keep.tobytes() else keep
 
 
 def open_propagator(spec: PropagatorSpec, keep: np.ndarray | None = None) -> np.ndarray:

@@ -219,7 +219,7 @@ def _blocks(spec: PropagatorSpec) -> Iterator[np.ndarray]:
     work.  The blocks come straight from the closed form (parity_block),
     so A is never formed.  Other masks give A itself.
     """
-    keep, _ = spec.canonical_mask()
+    keep = spec.canonical_mask()
     if (keep == keep[::-1]).all():
         yield parity_block(spec.dim, keep, 1)
         yield parity_block(spec.dim, keep, -1)

@@ -571,7 +571,26 @@ def test_hole_no_orbit_survives_fails_before_solving(tmp_path, capsys, monkeypat
                          capsys)
     assert code == 2
     assert err.startswith("error: no orbit avoids the hole of width 7/10 forever")
-    assert list((tmp_path / "cache").iterdir()) == []
+    assert not (tmp_path / "cache").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["weyl", "--qc", "0", "--dq", "0.7", "--n", "16,24,32,64"],
+    ["stats", "rescaled", "--qc", "0", "--dq", "0.7", "--n", "16"],
+    ["weyl", "--qc", "0.5", "--dq", "0.000000512", "--n", "16,24,32,64"],
+    ["stats", "rescaled", "--qc", "0.5", "--dq", "0.000000512", "--n", "16"],
+    ["classical", "--dq", "0.000000512", "--grid", "0.5:0.5:0.1"],
+    # the first width's sweep succeeds; the second hits the cell cap
+    ["classical", "--dq", "0.1,0.000000512", "--grid", "0.5:0.5:0.1"],
+], ids=["weyl no survivor", "rescaled no survivor", "weyl cell cap",
+        "rescaled cell cap", "classical cell cap", "classical second sweep"])
+def test_a_domain_error_before_the_first_output_leaves_no_out(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    code, stdout, err = run(argv + ["--out", str(out)], capsys)
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert stdout == ""
+    assert not out.exists()
 
 
 def test_mirror_openings_solve_and_load_once(tmp_path, capsys, monkeypatch):

@@ -304,6 +304,19 @@ def test_cache_recompute_bitwise_identical(tmp_path):
     assert first.entry_path(spec).read_bytes() == second.entry_path(spec).read_bytes()
 
 
+def test_cache_directory_is_made_by_the_first_store(tmp_path):
+    # opening a cache and asking it for an entry leave nothing on disk
+    root = tmp_path / "c"
+    cache = SpectrumCache(root)
+    spec = PropagatorSpec(16, OpeningSpec(0.3, 0.1))
+    assert not cache.has(spec)
+    assert not root.exists()
+    cache.store(spec, resonance_set(spec))
+    assert list(root.iterdir()) == [cache.entry_path(spec)]
+    assert cache.entry_path(spec).suffix == ".c16"
+    assert (cache.load(spec).values == resonance_set(spec).values).all()
+
+
 def test_cache_detects_corruption(tmp_path):
     cache = SpectrumCache(tmp_path)
     spec = PropagatorSpec(16, OpeningSpec(0.3, 0.1))
