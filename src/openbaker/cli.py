@@ -52,9 +52,10 @@ DQ_PRESETS = ("0.05", "0.1", "0.2")
 WEYL_DIM_PRESETS = (128, 180, 256, 362, 512, 724, 1024)
 WIDTH_DIM_RANGE = (500, 2000)
 MAX_GRID_POINTS = 100_000
-# a raster holds resolution^2 cells, and image mode int64 arrays of that
-# size, each pixel costing t + 1 integer window tests; past t = 20 the
-# survivor strips are far below a pixel at this cap
+# a raster holds resolution^2 one-byte cells, and its PGM one more byte
+# per cell; each pixel costs t + 1 integer window tests, run a fixed-size
+# block of image rows at a time; past t = 20 the survivor strips are far
+# below a pixel at this cap
 MAX_RESOLUTION = 2048
 MAX_RASTER_T = 20
 # cap on the sweep --t and the series --tmax: the partition recursion is

@@ -143,9 +143,12 @@ def write_pgm(path, trapped: np.ndarray) -> None:
     h, w = trapped.shape
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    # one uint8 byte per pixel, the only copy of the raster made here
+    pixels = np.full((h, w), 255, dtype=np.uint8)
+    np.copyto(pixels, 0, where=trapped)
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(np.where(trapped, 0, 255).astype(np.uint8).tobytes())
+        fh.write(pixels)
 
 
 def sha256_file(path) -> str:

@@ -55,6 +55,12 @@ _MC_CHUNK = 2**16
 # indexed by the top _MC_PREFIX bits of each word (_stride_table).
 _MC_STRIDE = 10
 _MC_PREFIX = 16
+# _stride_table fills its 2^_MC_PREFIX entries this many prefixes at a
+# time, so its uint64 and bool temporaries hold 32 KiB, not 512 KiB
+_MC_TABLE_SLICE = 2**12
+# image rasters are decided this many pixels at a time: the int64 orbit
+# integers of a block hold 512 KiB whatever the resolution
+_RASTER_CELLS = 2**16
 
 
 class ResolutionExhausted(RuntimeError):
@@ -333,23 +339,26 @@ def _stride_table(low: int, width: int) -> np.ndarray:
     Entry v is the number c of leading tests that every word with prefix v
     surely passes, _MC_STRIDE if it passes them all, when test c (if any)
     is surely failed; it is -1 when test c is doubtful, decided by neither.
+    The entries are filled _MC_TABLE_SLICE prefixes at a time.
     """
     top = 64 - _MC_PREFIX
-    start = np.arange(2**_MC_PREFIX, dtype=np.uint64) << np.uint64(top)
-    table = np.full(start.size, _MC_STRIDE, dtype=np.int8)
-    sure = np.ones(start.size, dtype=bool)  # passes tests 0 .. j - 1 surely
-    for j in range(_MC_STRIDE):
-        span = 2 ** (top + j)
-        d = start - np.uint64(low)
-        passes = (d >= np.uint64(width)) & (d <= np.uint64(2**64 - span))
-        first = sure & ~passes
-        if width >= span:
-            fails = d <= np.uint64(width - span)
-            table[first] = np.where(fails[first], j, -1)
-        else:
-            table[first] = -1
-        sure &= passes
-        start <<= np.uint64(1)
+    table = np.full(2**_MC_PREFIX, _MC_STRIDE, dtype=np.int8)
+    for lo in range(0, table.size, _MC_TABLE_SLICE):
+        part = table[lo : lo + _MC_TABLE_SLICE]
+        start = np.arange(lo, lo + part.size, dtype=np.uint64) << np.uint64(top)
+        sure = np.ones(part.size, dtype=bool)  # passes tests 0 .. j - 1 surely
+        for j in range(_MC_STRIDE):
+            span = 2 ** (top + j)
+            d = start - np.uint64(low)
+            passes = (d >= np.uint64(width)) & (d <= np.uint64(2**64 - span))
+            first = sure & ~passes
+            if width >= span:
+                fails = d <= np.uint64(width - span)
+                part[first] = np.where(fails[first], j, -1)
+            else:
+                part[first] = -1
+            sure &= passes
+            start <<= np.uint64(1)
     return table
 
 
@@ -462,7 +471,9 @@ def render_trapped_set(
     q and adds half of p's leading binary digit, so t of them send q to
     (q + B) / 2^t, with B the first t digits of p in reverse order.  Each
     pixel is then one integer over 2 resolution 2^t (below 2^33 at the
-    CLI caps), whose t + 1 window tests and doublings are exact.
+    CLI caps), whose t + 1 window tests and doublings are exact.  Image
+    rows are decided _RASTER_CELLS pixels at a time, so beside the raster
+    itself the working memory does not grow with the resolution.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -473,35 +484,44 @@ def render_trapped_set(
     den = 2 * resolution
     centres = np.arange(1, den, 2, dtype=np.int64)
     if mode == "initial":
-        k = centres
-    else:
-        if den << t > 2**62:  # doubling k < den must stay inside int64
-            raise ValueError(f"image raster at resolution {resolution} and t={t} "
-                             "needs orbits past int64")
-        p, digits = centres.copy(), np.zeros(resolution, dtype=np.int64)
-        for s in range(t):
-            p *= 2
-            bit = p >= den
-            p[bit] -= den
-            digits[bit] += 1 << s
+        low, width = opening.window(den)
+        strip = _survives(centres, den, low, width, t)
+        return np.tile(strip, (resolution, 1))[::-1]
+    if den << t > 2**62:  # doubling k < den must stay inside int64
+        raise ValueError(f"image raster at resolution {resolution} and t={t} "
+                         "needs orbits past int64")
+    p, digits = centres.copy(), np.zeros(resolution, dtype=np.int64)
+    for s in range(t):
+        p *= 2
+        bit = p >= den
+        p[bit] -= den
+        digits[bit] += 1 << s
+    low, width = opening.window(den << t)
+    trapped = np.empty((resolution, resolution), dtype=bool)
+    rows = max(1, _RASTER_CELLS // resolution)
+    for j in range(0, resolution, rows):
         # row j holds the pixels whose p centre is centres[j]
-        k = centres + den * digits[:, None]
-        den <<= t
-    low, width = opening.window(den)
-    # d = (k - low) mod den, and doubling k sends d to (2d + low) mod den,
-    # taken as 2d - (den - low) in [-den, 2 den) and folded back by one
-    # conditional add and one conditional subtract: no modulo, and every
-    # value stays below 2^63 at den = 2^62
+        k = centres + den * digits[j : j + rows, None]
+        trapped[j : j + rows] = _survives(k, den << t, low, width, t)
+    return trapped[::-1]
+
+
+def _survives(k: np.ndarray, den: int, low: int, width: int, t: int) -> np.ndarray:
+    """Whether each k / den stays out of the window for t doublings.
+
+    d = (k - low) mod den, and doubling k sends d to (2d + low) mod den,
+    taken as 2d - (den - low) in [-den, 2 den) and folded back by one
+    conditional add and one conditional subtract: no modulo, and every
+    value stays below 2^63 at den = 2^62.
+    """
     d = k - low
     np.add(d, den, out=d, where=d < 0)
     back = den - low
-    trapped = d >= width
+    alive = d >= width
     for _ in range(t):
         d <<= 1
         d -= back
         np.add(d, den, out=d, where=d < 0)
         np.subtract(d, den, out=d, where=d >= den)
-        trapped &= d >= width
-    if mode == "initial":
-        trapped = np.tile(trapped, (resolution, 1))
-    return trapped[::-1]
+        alive &= d >= width
+    return alive

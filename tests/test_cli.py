@@ -488,7 +488,7 @@ def test_weyl_selftest(tmp_path, capsys):
 
 
 def test_weyl_selftest_makes_no_cache_directory(tmp_path, capsys):
-    # the synthetic self-test solves nothing, so it opens no spectrum cache
+    # the synthetic self-test solves nothing, so it creates no cache directory
     argv = ["weyl", "--inject", "power-law", "--out", str(tmp_path / "out")]
     code, _, err = run(argv, capsys)
     assert code == 0, err

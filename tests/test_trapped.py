@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from openbaker import spectra, trapped
+from openbaker import csvio, spectra, trapped
 from openbaker.classical import OpeningSpec
 from openbaker.trapped import (
     MAX_CELLS,
@@ -411,6 +411,26 @@ def test_stride_table_claims_hold_next_to_prefix_boundaries(low, width):
             _assert_stride_table_sound((low + dl) % 2**64, width + dw, [])
 
 
+@pytest.mark.parametrize(
+    "low, width",
+    [
+        (2**64 - 2**50, 2**51),  # wraps through 0
+        (3 * 2**48 + 1, 2**47 + 3),  # below every prefix interval
+        (0.31, 0.1),
+        (0.02, 0.1),  # wraps through 0
+    ],
+)
+@pytest.mark.parametrize("size", [1000, 2**12 + 1, 2**15, 2**17])
+def test_stride_table_does_not_depend_on_the_slice(monkeypatch, low, width, size):
+    if isinstance(low, float):
+        low, width = OpeningSpec(low, width).window(2**53)
+        low, width = (low % 2**53) << 11, width << 11
+    monkeypatch.setattr(trapped, "_MC_TABLE_SLICE", 2**16)  # one slice
+    whole = trapped._stride_table(low, width)
+    monkeypatch.setattr(trapped, "_MC_TABLE_SLICE", size)
+    assert np.array_equal(trapped._stride_table(low, width), whole)
+
+
 @pytest.mark.parametrize("qc, dq", [(0.31, 0.1), (0.31, 0.05), (0.02, 0.1)])
 def test_stride_table_leaves_few_prefixes_doubtful(qc, dq):
     low, width = OpeningSpec(qc, dq).window(2**53)
@@ -512,6 +532,10 @@ def test_render_modes():
     ],
 )
 def test_raster_pixels_match_fraction_orbits(mode, res, qc, dq, t):
+    _assert_raster_matches_fraction_orbits(mode, res, qc, dq, t)
+
+
+def _assert_raster_matches_fraction_orbits(mode, res, qc, dq, t):
     o = OpeningSpec(qc, dq)
     img = render_trapped_set(o, t, resolution=res, mode=mode)
     rows = range(res) if mode == "image" else [res - 1]  # initial rows repeat
@@ -527,6 +551,40 @@ def test_raster_pixels_match_fraction_orbits(mode, res, qc, dq, t):
     if mode == "initial":
         assert (img == img[0]).all()
 
+
+@pytest.mark.parametrize("rows", [1, 7])  # 7 divides neither 25 nor 32
+@pytest.mark.parametrize(
+    "res, qc, dq, t",
+    [
+        (25, "0.99", "0.1", 5),
+        (25, "0", "0.1", 5),  # hole wraps through q = 0
+        (32, "0.5", "0.2", 56),  # den 2^62, the int64 limit
+    ],
+)
+def test_image_raster_row_blocks_match_fraction_orbits(monkeypatch, rows, res, qc, dq, t):
+    # a budget below one row still decides a whole row per block
+    monkeypatch.setattr(trapped, "_RASTER_CELLS", 1 if rows == 1 else rows * res)
+    _assert_raster_matches_fraction_orbits("image", res, qc, dq, t)
+
+
+def test_raster_memory_does_not_grow_with_the_resolution(tmp_path):
+    # beside the bool raster, each block holds a few int64 arrays of
+    # _RASTER_CELLS entries, and the PGM one uint8 copy of the raster;
+    # resolution^2 int64 orbits would hold 32 MiB each at the cap
+    res = 2048
+    tracemalloc.start()
+    try:
+        img = render_trapped_set(OpeningSpec(0.3, 0.1), 20, resolution=res, mode="image")
+        _, render_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        held, _ = tracemalloc.get_traced_memory()
+        csvio.write_pgm(tmp_path / "cap.pgm", img)
+        _, pgm_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert render_peak <= 2 * res**2
+    assert pgm_peak - held <= 2 * res**2
+    assert (tmp_path / "cap.pgm").stat().st_size == len(f"P5\n{res} {res}\n255\n") + res**2
 
 
 def test_image_raster_refuses_orbits_past_int64():
