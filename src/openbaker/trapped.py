@@ -58,8 +58,8 @@ _MC_PREFIX = 16
 # _stride_table fills its 2^_MC_PREFIX entries this many prefixes at a
 # time, so its uint64 and bool temporaries hold 32 KiB, not 512 KiB
 _MC_TABLE_SLICE = 2**12
-# image rasters are decided this many pixels at a time: the int64 orbit
-# integers of a block hold 512 KiB whatever the resolution
+# image rasters are decided this many pixels at a time, and at least one
+# row: the int64 orbit integers of a block hold 512 KiB up to resolution 2^16
 _RASTER_CELLS = 2**16
 
 
