@@ -76,21 +76,17 @@ def _expecting(form: str):
     return wrap
 
 
+def _comma_list(parse, form: str):
+    """A nonempty comma list of parse's values, named by the form of one."""
+    return _expecting(f"a comma list of {form}")(
+        lambda text: [parse(part) for part in text.split(",")]
+    )
+
+
 _fraction = _expecting("a decimal or fraction such as 0.3 or 3/10")(as_fraction)
-
-
-@_expecting("a comma list of decimals or fractions such as 0.1,1/5")
-def _fractions(text: str) -> list[Fraction]:
-    if not text:
-        return []
-    return [as_fraction(part) for part in text.split(",")]
-
-
-@_expecting("a comma list of integers such as 512,1024")
-def _ints(text: str) -> list[int]:
-    if not text:
-        return []
-    return [int(part) for part in text.split(",")]
+# an empty text is one empty element, which neither parser takes
+_fractions = _comma_list(as_fraction, "decimals or fractions such as 0.1,1/5")
+_ints = _comma_list(int, "integers such as 512,1024")
 
 
 @_expecting("an integer")
@@ -111,13 +107,9 @@ class FitRange(NamedTuple):
         return f"{self.lo}:{self.hi}"
 
 
+@_expecting("two integers t_lo:t_hi")
 def _fit_range(text: str) -> FitRange:
-    try:
-        lo, hi = (int(part) for part in text.split(":"))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected two integers t_lo:t_hi, got {text!r}"
-        ) from None
+    lo, hi = (int(part) for part in text.split(":"))
     if not 0 <= lo < hi:
         raise argparse.ArgumentTypeError(f"need 0 <= t_lo < t_hi, got {text!r}")
     return FitRange(lo, hi)
@@ -263,24 +255,23 @@ def cmd_stats(args, out: Path, cache: SpectrumCache) -> None:
         PropagatorSpec(dim, OpeningSpec(qc, dq)) for qc in args.qc for dim in args.n
     ]
     solved = _solve_many(specs, cache, args.jobs)
-    for qc in args.qc:
-        for dim in args.n:
-            rs = solved[PropagatorSpec(dim, OpeningSpec(qc, dq))]
-            stem = f"N{dim}_qc{_num(qc)}_{tag}"
-            if args.mode == "cumulative":
-                nu, n = cumulative_moduli(rs)
-                path = out / f"cumulative_{stem}.csv"
-                csvio.write_cumulative_csv(path, nu, n)
-            elif args.mode == "histogram":
-                lo, hi = args.range
-                hist = modulus_histogram(rs, args.bin, float(lo), float(hi))
-                path = out / f"histogram_{stem}.csv"
-                csvio.write_histogram_csv(path, hist)
-            else:
-                rh = rescaled_decay_histogram(rs, gammas[qc], args.bin, args.tail_lo)
-                path = out / f"rescaled_{stem}.csv"
-                csvio.write_rescaled_csv(path, rh)
-            _emit(path, args)
+    for spec in specs:
+        rs, qc = solved[spec], spec.opening.q_c
+        stem = f"N{spec.dim}_qc{_num(qc)}_{tag}"
+        if args.mode == "cumulative":
+            nu, n = cumulative_moduli(rs)
+            path = out / f"cumulative_{stem}.csv"
+            csvio.write_cumulative_csv(path, nu, n)
+        elif args.mode == "histogram":
+            lo, hi = args.range
+            hist = modulus_histogram(rs, args.bin, float(lo), float(hi))
+            path = out / f"histogram_{stem}.csv"
+            csvio.write_histogram_csv(path, hist)
+        else:
+            rh = rescaled_decay_histogram(rs, gammas[qc], args.bin, args.tail_lo)
+            path = out / f"rescaled_{stem}.csv"
+            csvio.write_rescaled_csv(path, rh)
+        _emit(path, args)
     if args.mode == "rescaled":
         for qc, g in gammas.items():
             print(f"qc={_num(qc)}: gamma_cl={g:.5f}")
@@ -288,52 +279,44 @@ def cmd_stats(args, out: Path, cache: SpectrumCache) -> None:
 
 def cmd_weyl(args, out: Path, cache: SpectrumCache) -> None:
     if args.inject == "power-law":
-        pts = synthetic_power_law_points()
+        tag, pts, target = "synthetic", synthetic_power_law_points(), 4 / 5
         fit = weyl_fit(pts)
-        target = 4 / 5
-        path = out / "weyl_synthetic.csv"
-        csvio.write_weyl_csv(path, pts)
-        _emit(path, args)
-        summary = out / "weyl_fit_synthetic.txt"
-        summary.write_text(
+        text = (
             f"slope={fit.slope:.12g}\nintercept_log10={fit.intercept_log10:.12g}\n"
-            f"target={target:.12g}\nrms_residual={fit.rms_residual:.3e}\n",
-            encoding="ascii",
+            f"target={target:.12g}\nrms_residual={fit.rms_residual:.3e}\n"
         )
-        _emit(summary, args)
-        if abs(fit.slope - target) > 1e-9:
-            raise ValueError(
-                f"self-test failed: recovered {fit.slope!r}, wanted {target!r}"
-            )
-        print(f"power-law self-test: slope {fit.slope:.12f} matches {target}")
-        return
-    opening = OpeningSpec(args.qc, args.dq)
-    dims = args.n if args.n else list(WEYL_DIM_PRESETS)
-    # before any solve: a hole no orbit survives fails here
-    reference = exact_escape(opening).d_info - 1
-    specs = [PropagatorSpec(dim, opening) for dim in dims]
-    solved = _solve_many(specs, cache, args.jobs)
-    pts = [weyl_count(solved[spec], args.nu_cut) for spec in specs]
-    fit = weyl_fit(pts)
-    tag = f"qc{_num(args.qc)}_dq{_num(args.dq)}"
+        done = f"power-law self-test: slope {fit.slope:.12f} matches {target}"
+    else:
+        opening = OpeningSpec(args.qc, args.dq)
+        dims = args.n if args.n else list(WEYL_DIM_PRESETS)
+        # before any solve: a hole no orbit survives fails here
+        reference = exact_escape(opening).d_info - 1
+        specs = [PropagatorSpec(dim, opening) for dim in dims]
+        solved = _solve_many(specs, cache, args.jobs)
+        pts = [weyl_count(solved[spec], args.nu_cut) for spec in specs]
+        fit = weyl_fit(pts)
+        tag = f"qc{_num(args.qc)}_dq{_num(args.dq)}"
+        text = (
+            f"slope={fit.slope:.6f}\n"
+            f"intercept_log10={fit.intercept_log10:.6f}\n"
+            f"reference={reference:.6f}\n"
+            f"deviation={fit.slope - reference:+.6f}\n"
+            f"rms_residual={fit.rms_residual:.3e}\n"
+            f"nu_cut={args.nu_cut}\n"
+        )
+        done = (
+            f"weyl fit: slope={fit.slope:.4f} reference={reference:.4f} "
+            f"deviation={fit.slope - reference:+.4f}"
+        )
     path = out / f"weyl_{tag}.csv"
     csvio.write_weyl_csv(path, pts)
     _emit(path, args)
     summary = out / f"weyl_fit_{tag}.txt"
-    summary.write_text(
-        f"slope={fit.slope:.6f}\n"
-        f"intercept_log10={fit.intercept_log10:.6f}\n"
-        f"reference={reference:.6f}\n"
-        f"deviation={fit.slope - reference:+.6f}\n"
-        f"rms_residual={fit.rms_residual:.3e}\n"
-        f"nu_cut={args.nu_cut}\n",
-        encoding="ascii",
-    )
+    summary.write_text(text, encoding="ascii")
     _emit(summary, args)
-    print(
-        f"weyl fit: slope={fit.slope:.4f} reference={reference:.4f} "
-        f"deviation={fit.slope - reference:+.4f}"
-    )
+    if args.inject and abs(fit.slope - target) > 1e-9:
+        raise ValueError(f"self-test failed: recovered {fit.slope!r}, wanted {target!r}")
+    print(done)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -363,12 +346,12 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--grid", type=_grid, default=_grid("0:0.5:0.005"),
                    help="q_c grid start:stop:step")
     c.add_argument("--t", type=int, default=9, help=f"sweep time step, 0..{MAX_T}")
-    c.add_argument("--series-qc", type=_fractions, default=_fractions(""),
+    c.add_argument("--series-qc", type=_fractions, default=[],
                    help="emit area series for these centers")
     c.add_argument("--tmax", type=int, default=25, help=f"series length, 0..{MAX_T}")
     c.add_argument("--fit-range", type=_fit_range, default=FitRange(*DEFAULT_FIT_RANGE),
                    help="escape-rate fit window t_lo:t_hi inside 0..--tmax")
-    c.add_argument("--raster-qc", type=_fractions, default=_fractions(""),
+    c.add_argument("--raster-qc", type=_fractions, default=[],
                    help="emit trapped-set rasters for these centers")
     c.add_argument("--raster-mode", choices=("initial", "image", "both"),
                    default="both")
@@ -387,8 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     st = sub.add_parser("stats", parents=[common],
                         help="statistics over cached spectra")
     st.add_argument("mode", choices=("cumulative", "histogram", "width", "rescaled"))
-    st.add_argument("--n", type=_ints, default=_ints(""))
-    st.add_argument("--qc", type=_fractions, default=_fractions(""))
+    st.add_argument("--n", type=_ints, default=[])
+    st.add_argument("--qc", type=_fractions, default=[])
     st.add_argument("--dq", type=_fraction, required=True)
     st.add_argument("--bin", type=float, default=DEFAULT_BIN_WIDTH)
     st.add_argument("--range", type=_pair, default=_pair("0:1"),
@@ -406,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="long-lived mode counts and power-law fit")
     w.add_argument("--qc", type=_fraction)
     w.add_argument("--dq", type=_fraction)
-    w.add_argument("--n", type=_ints, default=_ints(""),
+    w.add_argument("--n", type=_ints, default=[],
                    help=f"dimensions (default {','.join(map(str, WEYL_DIM_PRESETS))})")
     w.add_argument("--nu-cut", type=float, default=DEFAULT_NU_CUT)
     w.add_argument("--inject", choices=("power-law",), default=None,
@@ -476,6 +459,8 @@ def _validate(args, parser: argparse.ArgumentParser) -> None:
                 )
             if args.step < 1:
                 parser.error(f"--step must be at least 1, got {args.step}")
+            if args.nmin < 1:
+                parser.error(f"--nmin must be at least 1, got {args.nmin}")
             if args.nmin > args.nmax:
                 parser.error(f"--nmin {args.nmin} above --nmax {args.nmax}: no dimensions")
         if args.mode == "rescaled":
@@ -501,8 +486,9 @@ def _validate(args, parser: argparse.ArgumentParser) -> None:
         if not 0 <= args.nu_cut < 1:
             parser.error(f"--nu-cut must lie in [0, 1), got {args.nu_cut}")
         # weyl_fit's own rules, checked here so no spectrum is solved in vain
-        if args.n and len(args.n) < 4:
-            parser.error(f"--n needs at least 4 dimensions for the fit, got {len(args.n)}")
+        distinct = len(set(args.n))
+        if args.n and distinct < 4:
+            parser.error(f"--n needs at least 4 distinct dimensions for the fit, got {distinct}")
         if args.n and max(args.n) < 4 * min(args.n):
             parser.error(
                 f"--n must span at least a factor 4 in dimension, got "

@@ -53,7 +53,7 @@ def write_sweep_csv(path, delta_q, t: int, rows) -> None:
 
 def write_series_csv(path, series: SurvivalSeries) -> None:
     _write_text(
-        path, SERIES_HEADER, ("%d,%.12g\n" % row for row in series.as_rows())
+        path, SERIES_HEADER, ("%d,%.12g\n" % row for row in enumerate(series.areas))
     )
 
 

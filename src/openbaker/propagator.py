@@ -24,7 +24,7 @@ from .classical import OpeningSpec
 
 def _check_dim(dim: int) -> None:
     if dim <= 0 or dim % 2:
-        raise ValueError(f"quantization requires even dimension, got {dim}")
+        raise ValueError(f"quantization requires a positive even dimension, got {dim}")
 
 
 def _kernel_table(dim: int) -> np.ndarray:

@@ -64,16 +64,7 @@ _RASTER_CELLS = 2**16
 
 
 class ResolutionExhausted(RuntimeError):
-    """Raised when a Markov partition would outgrow MAX_CELLS.
-
-    ``size`` counts the cells at the limit and ``scale`` is their common
-    denominator.
-    """
-
-    def __init__(self, message: str, size: int, scale: int):
-        self.size = size
-        self.scale = scale
-        super().__init__(message)
+    """Raised when a Markov partition would outgrow MAX_CELLS."""
 
 
 @dataclass(frozen=True)
@@ -86,9 +77,6 @@ class SurvivalSeries:
     @property
     def t_max(self) -> int:
         return len(self.areas) - 1
-
-    def as_rows(self) -> list[tuple[int, Fraction]]:
-        return list(enumerate(self.areas))
 
     def log_areas(self) -> np.ndarray:
         """ln A_fw(t); exact rationals keep this safe from underflow."""
@@ -128,9 +116,7 @@ def _markov_partition(opening: OpeningSpec) -> _Partition:
             if len(points) == MAX_CELLS:
                 raise ResolutionExhausted(
                     f"Markov partition of the hole edges needs more than "
-                    f"{MAX_CELLS} cells at denominator {den}",
-                    len(points) + 1,
-                    den,
+                    f"{MAX_CELLS} cells at denominator {den}"
                 )
             points.add(x)
             x = 2 * x % den
@@ -291,7 +277,6 @@ class EscapeRateFit:
 
     gamma: float
     d_info: float
-    fit_range: tuple[int, int]
     residual_rms: float
 
 
@@ -319,7 +304,6 @@ def escape_rate(
     return EscapeRateFit(
         gamma=float(slope),
         d_info=2.0 - float(slope) / _LN2,
-        fit_range=(t_lo, t_hi),
         residual_rms=float(np.sqrt(np.mean(resid**2))),
     )
 

@@ -158,9 +158,44 @@ def test_spectrum_odd_dimension_fails_cleanly(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["spectrum", "--out", str(out), "--n", "601", "--qc", "0.5", "--dq", "0.1"])
     assert exc.value.code == 2
-    assert "error: quantization requires even dimension, got 601" in capsys.readouterr().err
+    assert "error: quantization requires a positive even dimension, got 601" in capsys.readouterr().err
     assert not out.exists()
 
+
+
+@pytest.mark.parametrize("dim", ["0", "-2"])
+def test_non_positive_dimension_is_named_as_such(tmp_path, capsys, dim):
+    # 0 and -2 are even; the message names the rule they break
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--out", str(out), "--n", dim, "--qc", "0.5", "--dq", "0.1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"openbaker: error: quantization requires a positive even dimension, got {dim}"
+    ]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["spectrum", "--n", "", "--qc", "0.5", "--dq", "0.1"], "--n"),
+    (["classical", "--dq", ""], "--dq"),
+    (["weyl", "--n", "", "--qc", "0.5", "--dq", "0.1"], "--n"),
+])
+def test_an_empty_list_is_a_usage_error_naming_its_flag(
+    tmp_path, capsys, monkeypatch, argv, flag
+):
+    def no_solve(spec):
+        raise AssertionError(f"solved N={spec.dim} for an empty {flag}")
+
+    monkeypatch.setattr(spectra, "_blocks", no_solve)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"openbaker {argv[0]}: error: argument {flag}: expected a comma list")
+    assert line.endswith(", got ''")
+    assert not out.exists()
 
 def test_spectrum_mirror_openings_share_a_cache_entry(tmp_path, capsys):
     cache = tmp_path / "cache"
@@ -515,7 +550,8 @@ def test_weyl_degenerate_counts_fail_cleanly(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("dims, message", [
-    ("64,90,128", "--n needs at least 4 dimensions for the fit, got 3"),
+    ("64,90,128", "--n needs at least 4 distinct dimensions for the fit, got 3"),
+    ("16,16,16,64", "--n needs at least 4 distinct dimensions for the fit, got 2"),
     ("64,90,128,180", "--n must span at least a factor 4 in dimension, got 64..180"),
 ])
 def test_weyl_rejects_unfittable_dimensions_before_solving(tmp_path, capsys, dims, message):
@@ -677,7 +713,7 @@ def test_width_nmax_above_solver_cap_is_a_usage_error(tmp_path, capsys, monkeypa
         (["stats", "rescaled", "--n", "16", "--qc", "0.5", "--dq", "0.1",
           "--gamma-cl", "inf"], "--gamma-cl must be finite and positive, got inf"),
         (["stats", "cumulative", "--n", "16,17", "--qc", "0.5", "--dq", "0.1"],
-         "quantization requires even dimension, got 17"),
+         "quantization requires a positive even dimension, got 17"),
         (["stats", "histogram", "--n", "16", "--qc", "0.5", "--dq", "1.5"],
          "delta_q must lie in [0, 1], got 3/2"),
         (["stats", "width", "--qc", "0.5,1", "--dq", "0.1", "--nmin", "16", "--nmax", "20"],
@@ -685,7 +721,7 @@ def test_width_nmax_above_solver_cap_is_a_usage_error(tmp_path, capsys, monkeypa
         (["spectrum", "--n", "16", "--qc", "1.2", "--dq", "0.1"],
          "q_c must lie in [0, 1), got 6/5"),
         (["weyl", "--n", "16,24,32,65", "--qc", "0.5", "--dq", "0.1"],
-         "quantization requires even dimension, got 65"),
+         "quantization requires a positive even dimension, got 65"),
         (["stats", "rescaled", "--n", "16,32", "--qc", "0.5", "--dq", "0"],
          "the closed map (--dq 0) has no escape rate to rescale by; "
          "give one with --gamma-cl"),
@@ -857,6 +893,24 @@ def test_width_bad_dimensions_or_bins_fail_before_solving(
     assert err[-1].endswith(message)
     assert not (tmp_path / "width_dq0.1.csv").exists()
 
+
+
+def test_width_nmin_below_one_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # each N <= 0 would otherwise be a per-point failure with its own line,
+    # in time and memory linear in |nmin|
+    def no_solve(spec):
+        raise AssertionError(f"solved N={spec.dim} before rejecting --nmin")
+
+    monkeypatch.setattr(spectra, "_blocks", no_solve)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["stats", "width", "--out", str(out), "--dq", "0.1", "--qc", "0.5",
+              "--nmin", "-40", "--nmax", "16"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "openbaker: error: --nmin must be at least 1, got -40"
+    ]
+    assert not out.exists()
 
 @pytest.mark.parametrize(
     "extra, message",

@@ -73,7 +73,7 @@ def test_read_spectrum_rejects_other_headers(tmp_path):
 
 def test_weyl_csv_schema(tmp_path):
     path = tmp_path / "weyl.csv"
-    csvio.write_weyl_csv(path, synthetic_power_law_points(n_points=4)[:2])
+    csvio.write_weyl_csv(path, synthetic_power_law_points()[:2])
     lines = path.read_text().splitlines()
     assert lines[0] == "N,count,log10N,log10count"
     assert lines[1].startswith("32,48,")
@@ -134,11 +134,11 @@ def test_writers_match_the_per_field_rendering(tmp_path):
     assert written(csvio.write_cumulative_csv, x, y) == reference_rows(
         [sig(a), sig(b)] for a, b in zip(x, y)
     )
-    hist = ModulusHistogram(lo=-0.0, hi=1.0, bin_width=1e-3, counts=x, density=y, n_total=1)
+    hist = ModulusHistogram(lo=-0.0, hi=1.0, bin_width=1e-3, counts=x, density=y)
     assert written(csvio.write_histogram_csv, hist) == reference_rows(
         [sig(a), sig(b)] for a, b in zip(hist.left_edges, y)
     )
-    rh = RescaledHistogram(gamma_cl=1.0, lefts=x, rights=y, density=x)
+    rh = RescaledHistogram(lefts=x, rights=y, density=x)
     with np.errstate(invalid="ignore", over="ignore"):
         assert written(csvio.write_rescaled_csv, rh) == reference_rows(
             [sig(a), sig(b)] for a, b in zip(rh.midpoints, x)
@@ -148,7 +148,7 @@ def test_writers_match_the_per_field_rendering(tmp_path):
     assert written(csvio.write_width_csv, points) == reference_rows(
         [str(p.dim), sig(p.q_c), sig(p.sigma)] for p in points
     )
-    weyl = [WeylDataPoint(dim=2 + i, count=i, nu_cut=0.3) for i in ints[:50]]
+    weyl = [WeylDataPoint(dim=2 + i, count=i) for i in ints[:50]]
     with np.errstate(divide="ignore"):
         assert written(csvio.write_weyl_csv, weyl) == reference_rows(
             [str(p.dim), str(p.count), sig(np.log10(p.dim)), sig(np.log10(p.count))]

@@ -61,7 +61,6 @@ def test_histogram_restricted_range():
     h = modulus_histogram(rs, lo=0.7, hi=1.0)
     assert h.counts.sum() == 2
     # normalization still uses every mode
-    assert h.n_total == 4
     assert abs(h.density.sum() * h.bin_width - 0.5) < 1e-12
     assert h.left_edges[0] == 0.7 and len(h.counts) == 30
 
@@ -104,12 +103,11 @@ def test_half_height_counts_qualifying_bins():
         bin_width=0.1,
         counts=np.array([1, 2, 4, 3, 1]),
         density=np.array([1.0, 2.0, 4.0, 3.0, 1.9]),
-        n_total=11,
     )
     assert abs(half_height_width(h) - 0.3) < 1e-12
     empty = ModulusHistogram(
         lo=0.0, hi=0.2, bin_width=0.1,
-        counts=np.zeros(2, dtype=int), density=np.zeros(2), n_total=4,
+        counts=np.zeros(2, dtype=int), density=np.zeros(2),
     )
     with pytest.raises(ValueError, match="occupied"):
         half_height_width(empty)
@@ -173,17 +171,23 @@ def test_weyl_count_strict_cut():
 
 
 def test_weyl_fit_validation():
-    pts = synthetic_power_law_points(n_points=3)
+    close = synthetic_power_law_points()
     with pytest.raises(ValueError, match="at least 4"):
-        weyl_fit(pts)
-    close = [p for p in synthetic_power_law_points(n_points=4)]
-    crowded = [type(p)(dim=100 + i, count=10, nu_cut=0.3) for i, p in enumerate(close)]
+        weyl_fit(close[:3])
+    crowded = [type(p)(dim=100 + i, count=10) for i, p in enumerate(close)]
     with pytest.raises(ValueError, match="factor 4"):
         weyl_fit(crowded)
-    zeroed = [type(p)(dim=p.dim, count=0, nu_cut=0.3) for p in close]
+    zeroed = [type(p)(dim=p.dim, count=0) for p in close]
     with pytest.raises(ValueError, match="positive"):
         weyl_fit(zeroed)
 
+
+
+def test_weyl_fit_counts_distinct_dimensions():
+    # four points at two dimensions: a line through two log-log points
+    pts = synthetic_power_law_points()
+    with pytest.raises(ValueError, match="at least 4 distinct dimensions, got 2"):
+        weyl_fit([pts[0]] * 3 + [pts[3]])
 
 def test_weyl_fit_exact_power_law():
     fit = weyl_fit(synthetic_power_law_points())

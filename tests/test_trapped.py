@@ -132,7 +132,6 @@ def test_escape_rate_window_validation():
 
 def test_escape_rate_values():
     fit3 = escape_rate(area_series(OpeningSpec(0.3, 0.1), 25))
-    assert fit3.fit_range == (5, 25)
     assert abs(fit3.gamma - 0.09074) < 5e-5
     assert abs(fit3.d_info - 1.86909) < 1e-4
     assert fit3.residual_rms < 1e-3
@@ -171,10 +170,10 @@ def test_partition_areas_past_int64():
 def test_partition_cell_cap():
     # the edge 1/2 - 1/(2 * 5^9) has a doubling orbit of 1.5 million points
     o = OpeningSpec(0.5, Fraction(1, 5**9))
-    with pytest.raises(ResolutionExhausted, match=f"more than {MAX_CELLS} cells") as err:
+    with pytest.raises(
+        ResolutionExhausted, match=f"more than {MAX_CELLS} cells at denominator {2 * 5**9}$"
+    ):
         area_series(o, 9)
-    assert err.value.size == MAX_CELLS + 1
-    assert err.value.scale == 2 * 5**9
     with pytest.raises(ResolutionExhausted):
         exact_escape(o)
 
