@@ -158,9 +158,9 @@ def test_spectrum_odd_dimension_fails_cleanly(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["spectrum", "--out", str(out), "--n", "601", "--qc", "0.5", "--dq", "0.1"])
     assert exc.value.code == 2
-    assert "error: quantization requires a positive even dimension, got 601" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: quantization requires a positive even dimension, got 601" in err
     assert not out.exists()
-
 
 
 @pytest.mark.parametrize("dim", ["0", "-2"])
@@ -196,6 +196,7 @@ def test_an_empty_list_is_a_usage_error_naming_its_flag(
     assert line.startswith(f"openbaker {argv[0]}: error: argument {flag}: expected a comma list")
     assert line.endswith(", got ''")
     assert not out.exists()
+
 
 def test_spectrum_mirror_openings_share_a_cache_entry(tmp_path, capsys):
     cache = tmp_path / "cache"
@@ -894,7 +895,6 @@ def test_width_bad_dimensions_or_bins_fail_before_solving(
     assert not (tmp_path / "width_dq0.1.csv").exists()
 
 
-
 def test_width_nmin_below_one_is_a_usage_error(tmp_path, capsys, monkeypatch):
     # each N <= 0 would otherwise be a per-point failure with its own line,
     # in time and memory linear in |nmin|
@@ -911,6 +911,7 @@ def test_width_nmin_below_one_is_a_usage_error(tmp_path, capsys, monkeypatch):
         "openbaker: error: --nmin must be at least 1, got -40"
     ]
     assert not out.exists()
+
 
 @pytest.mark.parametrize(
     "extra, message",
