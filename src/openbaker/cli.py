@@ -77,9 +77,9 @@ def _expecting(form: str):
 
 
 def _comma_list(parse, form: str):
-    """A nonempty comma list of parse's values, named by the form of one."""
+    """A nonempty comma list of parse's values, repeats dropped, named by the form of one."""
     return _expecting(f"a comma list of {form}")(
-        lambda text: [parse(part) for part in text.split(",")]
+        lambda text: list(dict.fromkeys(parse(part) for part in text.split(",")))
     )
 
 
@@ -486,9 +486,10 @@ def _validate(args, parser: argparse.ArgumentParser) -> None:
         if not 0 <= args.nu_cut < 1:
             parser.error(f"--nu-cut must lie in [0, 1), got {args.nu_cut}")
         # weyl_fit's own rules, checked here so no spectrum is solved in vain
-        distinct = len(set(args.n))
-        if args.n and distinct < 4:
-            parser.error(f"--n needs at least 4 distinct dimensions for the fit, got {distinct}")
+        if args.n and len(args.n) < 4:  # _ints drops repeats
+            parser.error(
+                f"--n needs at least 4 distinct dimensions for the fit, got {len(args.n)}"
+            )
         if args.n and max(args.n) < 4 * min(args.n):
             parser.error(
                 f"--n must span at least a factor 4 in dimension, got "

@@ -35,9 +35,10 @@ _OPENBLAS_SYMBOLS = (
     ("zgeev_", ctypes.c_int32, "openblas_get_num_threads", "openblas_set_num_threads"),
 )
 
-# held while _one_blas_thread has the thread count at one, by _blas_holder
+# guards the number of open _one_blas_thread pins and the count the first found
 _blas_lock = threading.Lock()
-_blas_holder = None
+_blas_pins = 0
+_blas_saved = None
 
 
 class EigensolverError(RuntimeError):
@@ -148,29 +149,28 @@ def _available_cores() -> int:
 
 @contextmanager
 def _one_blas_thread():
-    """Hold OpenBLAS at one thread, restoring the count on exit.
+    """Hold OpenBLAS at one thread while any pin is open.
 
-    The count is process-wide, hence the lock: one holder at a time.  The
-    lock is not reentrant, so the holder's second entry (a solve inside a
-    resonance_sets loop) raises instead of waiting forever.  With a BLAS
-    other than OpenBLAS the count is left alone.
+    The count is process-wide, so the pins are counted: the first entry
+    saves the count and sets one thread, the last exit restores it, also
+    when the body raises or a loop is closed early.  Pins nest and
+    overlap, within a thread and across threads; the lock guards only
+    the tally.  With a BLAS other than OpenBLAS the count is left alone.
     """
-    global _blas_holder
-    if _blas_holder == threading.get_ident():
-        raise RuntimeError("this thread already holds the one-BLAS-thread pin: a solve or "
-                           "trapped.exact_escape inside a resonance_sets loop would wait forever")
+    global _blas_pins, _blas_saved
     blas = _openblas()
     with _blas_lock:
-        total = blas.get_threads() if blas else None
-        _blas_holder = threading.get_ident()
-        try:
-            if blas:
-                blas.set_threads(1)
-            yield
-        finally:
-            _blas_holder = None
-            if blas:
-                blas.set_threads(total)
+        if _blas_pins == 0 and blas:
+            _blas_saved = blas.get_threads()
+            blas.set_threads(1)
+        _blas_pins += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_pins -= 1
+            if _blas_pins == 0 and blas:
+                blas.set_threads(_blas_saved)
 
 
 def sort_spectrum(w: np.ndarray) -> np.ndarray:
@@ -238,8 +238,7 @@ def resonance_sets(specs, jobs: int = 1) -> Iterator[ResonanceSet]:
     min(jobs, cores) specs are alive; the next is handed out before a
     finished spec is yielded, so the consumer's work overlaps the solves.
     Finished, raised or closed early, the pool is joined and the count
-    restored.  The loop holds the BLAS lock across its yields, so a solve,
-    or trapped.exact_escape, inside it raises RuntimeError.
+    restored once no other loop or solve holds it at one.
     """
     specs = list(specs)
     if jobs < 1:

@@ -234,9 +234,7 @@ def exact_escape(opening: OpeningSpec) -> ExactEscape:
     an opening and its mirror share rho.  Both are solved as the one with
     q_c <= 1/2, which gives them the same bits, once per process.  The
     dense solve runs at one BLAS thread, so the bits do not depend on the
-    core count either; it takes the lock that spectra.resonance_sets
-    holds across its yields, so inside such a loop on the same thread it
-    raises RuntimeError.
+    core count either.
     """
     if opening.q_c > Fraction(1, 2):
         opening = OpeningSpec(1 - opening.q_c, opening.delta_q)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -351,7 +352,7 @@ def test_solve_many_restores_blas_threads_when_a_solve_raises(tmp_path, monkeypa
     with pytest.raises(EigensolverError):
         cli._solve_many(specs, cache, 1)
     assert blas.sets == [1, 4] and blas.threads == 4
-    assert not spectra._blas_lock.locked()
+    assert spectra._blas_pins == 0
     # at --jobs 1 the first spectrum finishes, and is stored, before the
     # failing one does; the failed one is not stored
     assert cache.has(specs[0]) and not cache.has(specs[1])
@@ -472,6 +473,32 @@ def test_cli_import_loads_no_test_dependency():
     assert result.stdout.strip() == "[]"
 
 
+def test_cli_jobs_load_neither_numpy_random_nor_numpy_ma(tmp_path):
+    # their first imports add about 2 MB and 0.9 MB of peak RSS, and no
+    # command needs them: the sampler's numpy.random is the library's
+    src = str(Path(openbaker.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    probe = (
+        "import sys\n"
+        "from openbaker.cli import main\n"
+        "for argv in (\n"
+        "        ['spectrum', '--n', '16,18', '--qc', '0.3', '--dq', '0.1'],\n"
+        "        ['stats', 'width', '--dq', '0.2', '--qc', '0.3', '--nmin', '16',\n"
+        "         '--nmax', '20'],\n"
+        "        ['stats', 'rescaled', '--n', '16', '--qc', '0.5', '--dq', '0.1'],\n"
+        "        ['weyl', '--qc', '0.5', '--dq', '0.1', '--n', '8,12,16,32'],\n"
+        "        ['classical', '--dq', '0.1', '--grid', '0:0.5:0.25', '--t', '4', '--series-qc',\n"
+        "         '0.3', '--tmax', '12', '--fit-range', '5:12', '--raster-qc', '0.3',\n"
+        "         '--resolution', '16']):\n"
+        "    assert main(argv + ['--out', 'out']) == 0, argv\n"
+        "print(sorted(m for m in ('numpy.random', 'numpy.ma') if m in sys.modules))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env=env, cwd=tmp_path, timeout=300, check=True)
+    assert result.stdout.splitlines()[-1] == "[]"
+
+
 def test_stats_histogram_and_cumulative(tmp_path, capsys):
     for mode, prefix in (("cumulative", "cumulative"), ("histogram", "histogram")):
         code, out, err = run(
@@ -574,6 +601,32 @@ def test_weyl_small_fit_runs(tmp_path, capsys):
     assert "weyl fit: slope=" in out
     summary = (tmp_path / "weyl_fit_qc0.5_dq0.1.txt").read_text()
     assert "reference=" in summary and "deviation=" in summary
+
+
+def test_weyl_fits_a_repeated_dimension_once(tmp_path, capsys):
+    # --n keeps each dimension once, in the order first given
+    outputs = []
+    for name, dims in (("repeated", "16,16,24,32,64"), ("distinct", "16,24,32,64")):
+        code, out, err = run(["weyl", "--out", str(tmp_path / name), "--qc", "0.5",
+                              "--dq", "0.1", "--n", dims], capsys)
+        assert code == 0, err
+        assert "weyl fit: slope=0.8795 " in out
+        outputs.append([(tmp_path / name / f).read_bytes()
+                        for f in ("weyl_qc0.5_dq0.1.csv", "weyl_fit_qc0.5_dq0.1.txt")])
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0][0].splitlines()) == 5  # the header and four rows
+
+
+def test_stats_writes_a_repeated_dimension_or_centre_once(tmp_path, capsys):
+    code, out, err = run(["stats", "rescaled", "--out", str(tmp_path), "--n", "64,32,64",
+                          "--qc", "0.5,0.3,0.5", "--dq", "0.1", "--gamma-cl", "0.2"], capsys)
+    assert code == 0, err
+    assert [line for line in out.splitlines() if line.startswith("wrote ")] == [
+        f"wrote {tmp_path / f'rescaled_N{n}_qc{qc}_dq0.1.csv'}"
+        for qc in ("0.5", "0.3") for n in (64, 32)]
+    # a value is the same however it is written
+    args = build_parser().parse_args(["stats", "width", "--dq", "0.1", "--qc", "0.5,1/2,0.3"])
+    assert args.qc == [Fraction(1, 2), Fraction(3, 10)]
 
 
 @pytest.mark.parametrize("dq, reference", [

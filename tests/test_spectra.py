@@ -407,7 +407,7 @@ def test_every_block_solves_on_the_pool_at_one_blas_thread(monkeypatch):
     paired = resonance_set(SYMMETRIC).values
     assert calls == [(False, 1)] * 2
     assert blas.sets == [1, 4] and blas.threads == 4
-    assert not spectra._blas_lock.locked()
+    assert spectra._blas_pins == 0
     # one thread to start with: the same bits
     calls.clear()
     blas.threads = 1
@@ -458,14 +458,14 @@ def test_paired_solve_restores_blas_threads_when_a_block_raises(monkeypatch):
         resonance_set(SYMMETRIC)
     assert calls == [(False, 1)] * 2
     assert blas.sets == [1, 2] and blas.threads == 2
-    assert not spectra._blas_lock.locked()
+    assert spectra._blas_pins == 0
     # the with block joined the pool: no worker outlives the call
     assert pool_threads() == before
 
 
 def test_early_stop_releases_the_lock_and_joins_the_pool(monkeypatch):
     # a consumer that stops after the first spectrum, by close, break or
-    # an exception of its own, leaves nothing held and no worker running
+    # an exception of its own, leaves no pin open and no worker running
     monkeypatch.setattr(spectra, "_available_cores", lambda: 2)
     blas = FakeBlas(4)
     record_solves(monkeypatch, blas)
@@ -475,30 +475,38 @@ def test_early_stop_releases_the_lock_and_joins_the_pool(monkeypatch):
     try:
         # either of the two specs handed out first may finish first
         assert next(solving).spec in specs[:2]
-        assert spectra._blas_lock.locked() and blas.threads == 1
+        assert spectra._blas_pins == 1 and blas.threads == 1
     finally:
-        # closed even when an assertion fails, so the lock never leaks
+        # closed even when an assertion fails, so the pin never leaks
         # into the next test
         solving.close()
-    assert not spectra._blas_lock.locked() and blas.threads == 4
+    assert spectra._blas_pins == 0 and blas.threads == 4
     assert pool_threads() == before
     # no name holds these two generators, so leaving the loop frees them
     for rs in resonance_sets(specs, jobs=2):
         break
-    assert not spectra._blas_lock.locked() and blas.threads == 4
+    assert spectra._blas_pins == 0 and blas.threads == 4
     with pytest.raises(KeyError):
         for rs in resonance_sets(specs, jobs=1):
             raise KeyError(rs.spec)
-    assert not spectra._blas_lock.locked() and blas.threads == 4
+    assert spectra._blas_pins == 0 and blas.threads == 4
     assert pool_threads() == before
     assert blas.sets == [1, 4] * 3
 
 
-def test_a_solve_inside_the_solve_loop_raises_instead_of_hanging():
-    # the loop holds the non-reentrant BLAS lock across its yields; a solve
-    # or an exact_escape on the same thread names the cause and leaves the
-    # lock free and the thread count restored.  A fresh process, so the
-    # exact_escape memo is cold and a regression times out, not the suite
+def test_a_solve_inside_the_solve_loop_gives_the_same_bits(monkeypatch):
+    # the pins nest: a solve inside the loop runs at the one thread and
+    # leaves the count to the loop, which restores it on exit
+    blas = FakeBlas(4)
+    blas.install(monkeypatch)
+    outside = resonance_set(SYMMETRIC).values
+    blas.sets.clear()
+    for rs in resonance_sets([ASYMMETRIC]):
+        assert same_bits(resonance_set(SYMMETRIC).values, outside)
+        assert spectra._blas_pins == 1 and blas.threads == 1
+    assert blas.sets == [1, 4] and spectra._blas_pins == 0
+    # the real count, in a fresh process so the exact_escape memo is cold
+    # inside the loop and a regression that hangs times out, not the suite
     src = str(Path(spectra.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
@@ -509,22 +517,84 @@ def test_a_solve_inside_the_solve_loop_raises_instead_of_hanging():
         "blas = spectra._openblas()\n"
         "count = blas.get_threads if blas else lambda: None\n"
         "before = count()\n"
-        "for nested in (\n"
-        "        lambda: spectra.resonance_set(PropagatorSpec(16, OpeningSpec('0.5', '0.1'))),\n"
-        "        lambda: trapped.exact_escape(OpeningSpec('0.3', '0.2'))):\n"
-        "    try:\n"
-        "        for rs in spectra.resonance_sets([PropagatorSpec(16, OpeningSpec('0.3', '0.1'))]):\n"
-        "            nested()\n"
-        "    except RuntimeError as exc:\n"
-        "        print(exc)\n"
-        "    print(spectra._blas_lock.locked(), count() == before)\n"
-        "print(trapped.exact_escape(OpeningSpec('0.3', '0.2')).rho > 1)\n"
+        "spec = PropagatorSpec(16, OpeningSpec('0.5', '0.1'))\n"
+        "opening = OpeningSpec('0.3', '0.2')\n"
+        "def solve():\n"
+        "    return spectra.resonance_set(spec).values.tobytes(), trapped.exact_escape(opening)\n"
+        "for rs in spectra.resonance_sets([PropagatorSpec(16, OpeningSpec('0.3', '0.1'))]):\n"
+        "    inside = solve()\n"
+        "    print(count() == (1 if blas else None))\n"
+        "print(spectra._blas_pins, count() == before)\n"
+        "trapped._exact_escape.cache_clear()\n"
+        "print(solve() == inside, inside[1].rho > 1, count() == before)\n"
     )
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                             text=True, env=env, timeout=120, check=True)
-    reason = ("this thread already holds the one-BLAS-thread pin: a solve or "
-              "trapped.exact_escape inside a resonance_sets loop would wait forever")
-    assert result.stdout.splitlines() == [reason, "False True"] * 2 + ["True"]
+    assert result.stdout.splitlines() == ["True", "0 True", "True True True"]
+
+
+def test_loops_on_two_threads_run_at_the_same_time(monkeypatch):
+    # each loop's body waits for the other's at a barrier, which a loop
+    # holding the count to itself across its yields would never reach
+    blas = FakeBlas(4)
+    blas.install(monkeypatch)
+    meet = threading.Barrier(2, timeout=30)
+    seen, errors = [], []
+
+    def loop(spec):
+        try:
+            for rs in resonance_sets([spec]):
+                meet.wait()
+                seen.append((spectra._blas_pins, blas.threads))
+                meet.wait()
+        except threading.BrokenBarrierError as exc:
+            errors.append(exc)
+
+    workers = [threading.Thread(target=loop, args=(spec,)) for spec in (SYMMETRIC, ASYMMETRIC)]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join(timeout=120)
+    assert not any(worker.is_alive() for worker in workers)
+    assert errors == [] and seen == [(2, 1)] * 2
+    # the first pin set one thread, the last one restored the four
+    assert blas.sets == [1, 4] and spectra._blas_pins == 0
+
+
+def test_raised_closed_and_concurrent_loops_restore_the_real_blas_count():
+    blas = spectra._openblas()
+    if blas is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    before = blas.get_threads()
+    with pytest.raises(KeyError):
+        for rs in resonance_sets([SYMMETRIC, ASYMMETRIC]):
+            assert blas.get_threads() == 1
+            raise KeyError(rs.spec)
+    assert blas.get_threads() == before and spectra._blas_pins == 0
+    solving = resonance_sets([SYMMETRIC, ASYMMETRIC])
+    try:
+        next(solving)
+        assert blas.get_threads() == 1
+    finally:
+        solving.close()
+    assert blas.get_threads() == before and spectra._blas_pins == 0
+    meet = threading.Barrier(2, timeout=30)
+    seen = []
+
+    def loop():
+        for rs in resonance_sets([ASYMMETRIC]):
+            meet.wait()
+            seen.append(blas.get_threads())
+            meet.wait()
+
+    workers = [threading.Thread(target=loop) for _ in range(2)]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join(timeout=120)
+    assert not any(worker.is_alive() for worker in workers)
+    assert seen == [1, 1]
+    assert blas.get_threads() == before and spectra._blas_pins == 0
 
 
 def test_jobs_bounds_the_spectra_in_flight(monkeypatch):
@@ -587,9 +657,9 @@ def test_fallback_gives_the_same_bits_with_numpy(monkeypatch, one_blas_thread):
 
 
 def test_concurrent_solves_never_lose_the_blas_thread_count(monkeypatch):
-    # more solving threads than cores, switching often: each solve holds
-    # the count at 1 and restores it, one holder at a time, so the count
-    # comes back whole; two holders at once would restore a 1
+    # more solving threads than cores, switching often: the pins are
+    # counted, so only the first saves the count and only the last
+    # restores it; a pin that saved another's 1 would restore a 1
     blas = FakeBlas(4)
     record_solves(monkeypatch, blas)
     expected = resonance_set(SYMMETRIC).values
@@ -612,4 +682,4 @@ def test_concurrent_solves_never_lose_the_blas_thread_count(monkeypatch):
     assert not any(worker.is_alive() for worker in workers)
     assert len(results) == 40 and all((r == expected).all() for r in results)
     assert blas.threads == 4 and set(blas.sets) <= {1, 4}
-    assert not spectra._blas_lock.locked()
+    assert spectra._blas_pins == 0
