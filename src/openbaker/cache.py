@@ -27,7 +27,7 @@ import numpy as np
 # it is re-pointed (ROADMAP item 5)
 from .csvio import read_spectrum_csv, sha256_file, write_spectrum_csv  # noqa: F401
 from .propagator import PropagatorSpec, open_trace
-from .spectra import ResonanceSet, resonance_set
+from .spectra import ResonanceSet, resonance_sets
 
 # bump when the solver or the entry format changes; 4: every block solved
 # on one BLAS thread; 5: raw complex128 payloads, not CSV; 6: the digest
@@ -103,14 +103,26 @@ class SpectrumCache:
             )
         return ResonanceSet(spec=spec, values=values)
 
-    def get_or_compute(self, spec: PropagatorSpec) -> tuple[ResonanceSet, bool]:
-        """Return the cached spectrum, computing and storing on a miss.
+    def solve(self, specs, jobs: int = 1) -> tuple[dict, set]:
+        """Load or solve each spec, in order; return ({spec: ResonanceSet}, hits).
 
-        The result is always the verified load of the stored entry, which
-        holds the solver's bits, so hits, misses and resonance_set(spec)
-        hand the same numbers downstream.
+        Each cache entry (mirror openings share one) is loaded once, or solved
+        by resonance_sets, stored and read back while the rest solve: all get
+        verified stored values.  hits holds the specs stored before the call.
         """
-        if self.has(spec):
-            return self.load(spec), True
-        self.store(spec, resonance_set(spec))
-        return self.load(spec), False
+        first = {}
+        for spec in specs:
+            first.setdefault(cache_key(spec), spec)
+        stored = {key: spec for key, spec in first.items() if self.has(spec)}
+        values = {key: self.load(spec).values for key, spec in stored.items()}
+        misses = [spec for key, spec in first.items() if key not in stored]
+        for rs in resonance_sets(misses, jobs):
+            self.store(rs.spec, rs)
+            values[cache_key(rs.spec)] = self.load(rs.spec).values
+        solved = {spec: ResonanceSet(spec, values[cache_key(spec)]) for spec in specs}
+        return solved, {spec for spec in specs if cache_key(spec) in stored}
+
+    def get_or_compute(self, spec: PropagatorSpec) -> tuple[ResonanceSet, bool]:
+        """The one-spec form of solve: (verified spectrum, whether it was a hit)."""
+        solved, hits = self.solve([spec])
+        return solved[spec], spec in hits

@@ -20,10 +20,10 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import csvio
-from .cache import CacheError, SpectrumCache, cache_key
+from .cache import CacheError, SpectrumCache
 from .classical import OpeningSpec, as_fraction
 from .propagator import PropagatorSpec
-from .spectra import MAX_EIGEN_DIM, EigensolverError, ResonanceSet, resonance_sets
+from .spectra import MAX_EIGEN_DIM, EigensolverError
 from .stats import (
     DEFAULT_BIN_WIDTH,
     DEFAULT_NU_CUT,
@@ -150,23 +150,13 @@ def _emit(path: Path, args: argparse.Namespace) -> None:
 
 
 def _solve_many(specs, cache: SpectrumCache, jobs: int) -> dict:
-    """Fill the cache for every spec and return {spec: ResonanceSet}.
-
-    Specs sharing a cache entry (mirror openings, say) are solved or
-    loaded once; each gets its own ResonanceSet over those values.  Each
-    miss is stored and read back while the rest solve, so hits and misses
-    alike hand on the verified values of the stored payload.
-    """
-    first = {}
-    for spec in specs:
-        first.setdefault(cache_key(spec), spec)
-    hits = {key: spec for key, spec in first.items() if cache.has(spec)}
-    values = {key: cache.load(spec).values for key, spec in hits.items()}
-    misses = [spec for key, spec in first.items() if key not in hits]
-    for rs in resonance_sets(misses, jobs):
-        cache.store(rs.spec, rs)
-        values[cache_key(rs.spec)] = cache.load(rs.spec).values
-    return {spec: ResonanceSet(spec, values[cache_key(spec)]) for spec in specs}
+    """Solve specs through the cache and report each; return {spec: ResonanceSet}."""
+    solved, hits = cache.solve(specs, jobs)
+    for spec in solved:
+        opening = spec.opening
+        print(f"spectrum N={spec.dim} qc={_num(opening.q_c)} dq={_num(opening.delta_q)}: "
+              f"{'cache hit' if spec in hits else 'computed'}")
+    return solved
 
 
 def cmd_classical(args, out: Path, cache: SpectrumCache) -> None:
@@ -213,7 +203,6 @@ def cmd_classical(args, out: Path, cache: SpectrumCache) -> None:
 def cmd_spectrum(args, out: Path, cache: SpectrumCache) -> None:
     opening = OpeningSpec(args.qc, args.dq)
     specs = [PropagatorSpec(dim, opening) for dim in args.n]
-    hits = {spec: cache.has(spec) for spec in specs}
     solved = _solve_many(specs, cache, args.jobs)
     for spec in specs:
         path = out / (
@@ -222,7 +211,6 @@ def cmd_spectrum(args, out: Path, cache: SpectrumCache) -> None:
         # rendered from the verified payload, so reruns write the same bytes
         csvio.write_spectrum_csv(path, solved[spec].values)
         _emit(path, args)
-        print(f"spectrum N={spec.dim}: {'cache hit' if hits[spec] else 'computed'}")
 
 
 def cmd_stats(args, out: Path, cache: SpectrumCache) -> None:

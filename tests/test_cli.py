@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import openbaker
-from openbaker import cli, csvio, spectra
+from openbaker import csvio, spectra
 from openbaker.cache import SpectrumCache
 from openbaker.classical import OpeningSpec
 from openbaker.cli import (
@@ -308,18 +308,18 @@ def test_solve_many_caps_workers(tmp_path, monkeypatch, recorded_pools):
     specs = [PropagatorSpec(dim, OpeningSpec("0.3", "0.1")) for dim in (16, 18, 20)]
     mirror = PropagatorSpec(16, OpeningSpec("0.7", "0.1"))
     monkeypatch.setattr(spectra, "_available_cores", lambda: 2)
-    solved = cli._solve_many(specs + [mirror], cache, 64)
+    solved, _ = cache.solve(specs + [mirror], 64)
     assert list(solved) == specs + [mirror]
     assert all(rs.spec == spec for spec, rs in solved.items())
     assert (solved[mirror].values == solved[specs[0]].values).all()
     assert recorded_pools == [2] and blas.sets == [1, 5]
     # all hits: no pool and no change to the count
-    again = cli._solve_many(specs, cache, 1)
+    again, _ = cache.solve(specs, 1)
     assert all((again[s].values == solved[s].values).all() for s in specs)
     assert recorded_pools == [2] and blas.sets == [1, 5]
     # one miss among hits, on 8 cores at --jobs 1
     monkeypatch.setattr(spectra, "_available_cores", lambda: 8)
-    cli._solve_many(specs + [PropagatorSpec(22, OpeningSpec("0.3", "0.1"))], cache, 1)
+    cache.solve(specs + [PropagatorSpec(22, OpeningSpec("0.3", "0.1"))], 1)
     assert recorded_pools == [2, 8] and blas.sets == [1, 5, 1, 5]
     assert len(list(tmp_path.glob("*.c16"))) == 4
 
@@ -329,7 +329,7 @@ def test_jobs_are_capped_by_the_cpu_affinity(tmp_path, monkeypatch, recorded_poo
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5}, raising=False)
     specs = [PropagatorSpec(dim, OpeningSpec("0.5", "0.1")) for dim in (16, 18, 20)]
-    solved = cli._solve_many(specs, SpectrumCache(tmp_path), 4)
+    solved, _ = SpectrumCache(tmp_path).solve(specs, 4)
     assert recorded_pools == [1]
     assert all((rs.values == resonance_set(spec).values).all()
                for spec, rs in solved.items())
@@ -350,7 +350,7 @@ def test_solve_many_restores_blas_threads_when_a_solve_raises(tmp_path, monkeypa
     cache = SpectrumCache(tmp_path)
     specs = [PropagatorSpec(dim, OpeningSpec("0.3", "0.1")) for dim in (16, 18, 20)]
     with pytest.raises(EigensolverError):
-        cli._solve_many(specs, cache, 1)
+        cache.solve(specs, 1)
     assert blas.sets == [1, 4] and blas.threads == 4
     assert spectra._blas_pins == 0
     # at --jobs 1 the first spectrum finishes, and is stored, before the
@@ -374,10 +374,46 @@ def test_solve_many_restores_the_real_blas_thread_count(tmp_path, monkeypatch):
     monkeypatch.setattr(spectra, "eigenvalues", recording)
     monkeypatch.setattr(spectra, "_available_cores", lambda: 2)
     specs = [PropagatorSpec(dim, OpeningSpec("0.3", "0.2")) for dim in (16, 18)]
-    solved = cli._solve_many(specs, SpectrumCache(tmp_path), jobs=2)
+    solved, _ = SpectrumCache(tmp_path).solve(specs, jobs=2)
     assert list(solved) == specs
     assert seen == [1] * 2
     assert get() == before
+
+
+def test_solve_reports_the_entries_stored_before_the_call(tmp_path, monkeypatch,
+                                                          recorded_pools):
+    # a mirror pair shares one entry: cold, both are misses and it is
+    # solved once; warm, every spec is a hit and no pool starts
+    blocks = spectra._blocks
+    solved_dims = []
+
+    def counting(spec):
+        solved_dims.append(spec.dim)
+        return blocks(spec)
+
+    monkeypatch.setattr(spectra, "_blocks", counting)
+    cache = SpectrumCache(tmp_path)
+    low, high = (PropagatorSpec(16, OpeningSpec(qc, "0.1")) for qc in ("0.3", "0.7"))
+    other = PropagatorSpec(18, OpeningSpec("0.3", "0.1"))
+    solved, hits = cache.solve([low, high, other])
+    assert list(solved) == [low, high, other] and hits == set()
+    assert solved_dims == [16, 18] and len(recorded_pools) == 1
+    again, hits = cache.solve([high, other, low])
+    assert list(again) == [high, other, low] and hits == {low, high, other}
+    assert all((again[s].values == solved[s].values).all() for s in solved)
+    assert solved_dims == [16, 18] and len(recorded_pools) == 1
+
+
+def test_stats_reports_each_spectrum_once(tmp_path, capsys):
+    argv = ["stats", "cumulative", "--out", str(tmp_path), "--dq", "0.1",
+            "--n", "16,32", "--qc", "0.3,0.7"]
+    specs = [(n, qc) for qc in ("0.3", "0.7") for n in (16, 32)]
+    for status in ("computed", "cache hit"):
+        code, out, err = run(argv, capsys)
+        assert code == 0, err
+        assert [line for line in out.splitlines() if line.startswith("spectrum ")] == [
+            f"spectrum N={n} qc={qc} dq=0.1: {status}" for n, qc in specs
+        ]
 
 
 def solve_to_cache(tmp_path, capsys, name, qc, dq, jobs) -> Path:
@@ -598,7 +634,11 @@ def test_weyl_small_fit_runs(tmp_path, capsys):
         capsys,
     )
     assert code == 0
-    assert "weyl fit: slope=" in out
+    # one report line per dimension, all before the fit line
+    lines = out.splitlines()
+    assert lines[:6] == [f"spectrum N={n} qc=0.5 dq=0.1: computed"
+                         for n in (16, 24, 32, 48, 64, 96)]
+    assert lines[-1].startswith("weyl fit: slope=")
     summary = (tmp_path / "weyl_fit_qc0.5_dq0.1.txt").read_text()
     assert "reference=" in summary and "deviation=" in summary
 

@@ -295,6 +295,16 @@ def test_cache_roundtrip(tmp_path):
         assert (rs2.values == direct).all()
 
 
+def test_get_or_compute_is_solve_for_one_spec(tmp_path):
+    spec = PropagatorSpec(16, OpeningSpec("0.3", "0.1"))
+    solved, _ = SpectrumCache(tmp_path / "solve").solve([spec])
+    cache = SpectrumCache(tmp_path / "one")
+    for hit in (False, True):
+        rs, was_hit = cache.get_or_compute(spec)
+        assert was_hit is hit and rs.spec == spec
+        assert rs.values.tobytes() == solved[spec].values.tobytes()
+
+
 def test_cache_recompute_bitwise_identical(tmp_path):
     spec = PropagatorSpec(24, OpeningSpec(0.5, 0.2))
     first = SpectrumCache(tmp_path / "a")
