@@ -103,7 +103,7 @@ class SpectrumCache:
             )
         return ResonanceSet(spec=spec, values=values)
 
-    def solve(self, specs, jobs: int = 1) -> tuple[dict, set]:
+    def solve(self, specs: list[PropagatorSpec], jobs: int = 1) -> tuple[dict, set]:
         """Load or solve each spec, in order; return ({spec: ResonanceSet}, hits).
 
         Each cache entry (mirror openings share one) is loaded once, or solved
