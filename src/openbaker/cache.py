@@ -103,13 +103,16 @@ class SpectrumCache:
             )
         return ResonanceSet(spec=spec, values=values)
 
-    def solve(self, specs: list[PropagatorSpec], jobs: int = 1) -> tuple[dict, set]:
+    def solve(self, specs, jobs: int = 1) -> tuple[dict, set]:
         """Load or solve each spec, in order; return ({spec: ResonanceSet}, hits).
 
         Each cache entry (mirror openings share one) is loaded once, or solved
         by resonance_sets, stored and read back while the rest solve: all get
-        verified stored values.  hits holds the specs stored before the call.
+        verified stored values.  jobs bounds the bytes of matrices alive at
+        jobs times the largest miss's.  hits holds the specs stored before
+        the call.  specs may be any iterable, a generator included.
         """
+        specs = list(specs)
         first = {}
         for spec in specs:
             first.setdefault(cache_key(spec), spec)

@@ -324,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--cache", default=None,
                         help="spectrum cache directory (default: OUT/cache)")
     common.add_argument("--jobs", type=_jobs, default=1,
-                        help="spectra solved at once (bounds memory; the cores set the threads)")
+                        help="bounds the bytes of matrices alive at JOBS times the largest "
+                             "spectrum's (the cores set the threads)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("classical", parents=[common],

@@ -15,7 +15,6 @@ import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import islice
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -205,8 +204,8 @@ def resonance_set(spec: PropagatorSpec) -> ResonanceSet:
     return rs
 
 
-def _blocks(spec: PropagatorSpec) -> Iterator[np.ndarray]:
-    """The matrices whose spectra make up spec's, built one at a time.
+def _blocks(spec: PropagatorSpec) -> list[tuple[int, Callable[[], np.ndarray]]]:
+    """The matrices whose spectra make up spec's, as (bytes, build) pairs.
 
     The closed propagator commutes with the reflection R: j -> dim-1-j,
     so the opened one, A, is solved for the canonical kept mask
@@ -217,28 +216,33 @@ def _blocks(spec: PropagatorSpec) -> Iterator[np.ndarray]:
     of the even and odd blocks A11 + A12 J and A11 - A12 J, where J
     reverses dim/2 indices: two solves of half the size, a quarter of the
     work.  The blocks come straight from the closed form (parity_block),
-    so A is never formed.  Other masks give A itself.
+    so A is never formed.  Other masks give A itself.  The sizes follow
+    from the mask alone; no matrix is built until build is called.
     """
-    keep = spec.canonical_mask()
+    keep, dim = spec.canonical_mask(), spec.dim
     if (keep == keep[::-1]).all():
-        yield parity_block(spec.dim, keep, 1)
-        yield parity_block(spec.dim, keep, -1)
-    else:
-        yield open_propagator(spec, keep)
+        return [(16 * (dim // 2) ** 2, lambda: parity_block(dim, keep, 1)),
+                (16 * (dim // 2) ** 2, lambda: parity_block(dim, keep, -1))]
+    return [(16 * dim**2, lambda: open_propagator(spec, keep))]
 
 
 def resonance_sets(specs, jobs: int = 1) -> Iterator[ResonanceSet]:
     """Solve each spec, yielding its read-only ResonanceSet as it finishes.
 
-    Every block (_blocks) is built on the calling thread (built on a
-    worker, it came from a second malloc arena, and peak RSS then
-    depended on earlier sizes) and solved in place on one pool with a
-    thread per available core, at one BLAS thread, so the bits depend on
-    neither jobs nor the core count.  The blocks of at most
-    min(jobs, cores) specs are alive; the next is handed out before a
-    finished spec is yielded, so the consumer's work overlaps the solves.
-    Finished, raised or closed early, the pool is joined and the count
-    restored once no other loop or solve holds it at one.
+    The specs' blocks (_blocks) are handed out largest spec first, in the
+    order given among equal sizes, to one pool with a thread per
+    available core.  Whenever a worker is free, the first queued block
+    that fits is built on the calling thread (built on a worker, it came
+    from a second malloc arena, and peak RSS then depended on earlier
+    sizes) and solved in place at one BLAS thread, so the bits depend on
+    neither jobs, the core count nor the schedule.  A block fits while
+    the bytes of blocks alive, its own included, stay within jobs times
+    the largest spec's total, so blocks of different specs, a lone
+    asymmetric solve's among them, share the cores whenever that allows.
+    The next block is handed out before a finished spec is yielded, so
+    the consumer's work overlaps the solves.  Finished, raised or closed
+    early, the pool is joined and the count restored once no other loop
+    or solve holds it at one.
     """
     specs = list(specs)
     if jobs < 1:
@@ -252,30 +256,37 @@ def resonance_sets(specs, jobs: int = 1) -> Iterator[ResonanceSet]:
     from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 
     cores = _available_cores()
-    todo = iter(specs)
-    pending = []
+    blocks = [_blocks(spec) for spec in specs]
+    totals = [sum(size for size, _ in spec_blocks) for spec_blocks in blocks]
+    budget = jobs * max(totals)
+    queue = [(i, k, size, build) for i in sorted(range(len(specs)), key=lambda i: -totals[i])
+             for k, (size, build) in enumerate(blocks[i])]
+    parts = [[None] * len(spec_blocks) for spec_blocks in blocks]
+    running, ready, alive = {}, [], 0
     with _one_blas_thread():
         pool = ThreadPoolExecutor(max_workers=cores)
         try:
-            def hand_out(spec):
-                solves = [pool.submit(eigenvalues, b, True) for b in _blocks(spec)]
-                pending.append((spec, solves))
-
-            for spec in islice(todo, min(jobs, cores)):
-                hand_out(spec)
-            while pending:
-                # one snapshot, so a spec is either done or has a block to wait for
-                busy = [f for p in pending for f in p[1] if not f.done()]
-                done = next((p for p in pending if not any(f in busy for f in p[1])), None)
-                if done is None:
-                    wait(busy, return_when=FIRST_COMPLETED)
-                    continue
-                pending.remove(done)
-                spec, solves = done
-                w = sort_spectrum(np.concatenate([f.result() for f in solves]))
-                w.setflags(write=False)
-                for following in islice(todo, 1):  # the next spec, if any
-                    hand_out(following)
-                yield ResonanceSet(spec=spec, values=w)
+            while queue or running or ready:
+                if running:  # collect what finished, waiting only if nothing is ready
+                    done, _ = wait(running, 0 if ready else None, FIRST_COMPLETED)
+                    for future in done:
+                        i, k, size, _ = running.pop(future)
+                        alive -= size
+                        parts[i][k] = future.result()
+                        if all(part is not None for part in parts[i]):
+                            ready.append(i)
+                while len(running) < cores:  # build what fits for the free workers
+                    block = next((b for b in queue if alive + b[2] <= budget), None)
+                    if block is None:
+                        break
+                    queue.remove(block)
+                    alive += block[2]
+                    running[pool.submit(eigenvalues, block[3](), True)] = block
+                if ready:
+                    i = ready.pop(0)
+                    w = sort_spectrum(np.concatenate(parts[i]))
+                    w.setflags(write=False)
+                    parts[i] = None
+                    yield ResonanceSet(spec=specs[i], values=w)
         finally:
             pool.shutdown(cancel_futures=True)

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 from collections import Counter
 from fractions import Fraction
@@ -285,6 +286,10 @@ class FakeBlas:
             get_threads=self.get, set_threads=self.set))
 
 
+def solve_pool_threads() -> set:
+    return {t for t in threading.enumerate() if t.name.startswith("ThreadPoolExecutor")}
+
+
 @pytest.fixture
 def recorded_pools(monkeypatch):
     """The max_workers of every solve pool started, in order."""
@@ -338,8 +343,10 @@ def test_jobs_are_capped_by_the_cpu_affinity(tmp_path, monkeypatch, recorded_poo
 def test_solve_many_restores_blas_threads_when_a_solve_raises(tmp_path, monkeypatch):
     blas = FakeBlas(4)
     solve = spectra.eigenvalues
+    solved = []
 
     def failing(m, overwrite=False):
+        solved.append(m.shape[0])
         if m.shape[0] == 18:
             raise EigensolverError("QR iteration did not converge")
         return solve(m, overwrite)
@@ -349,13 +356,16 @@ def test_solve_many_restores_blas_threads_when_a_solve_raises(tmp_path, monkeypa
     monkeypatch.setattr(spectra, "_available_cores", lambda: 2)
     cache = SpectrumCache(tmp_path)
     specs = [PropagatorSpec(dim, OpeningSpec("0.3", "0.1")) for dim in (16, 18, 20)]
+    before = solve_pool_threads()
     with pytest.raises(EigensolverError):
         cache.solve(specs, 1)
     assert blas.sets == [1, 4] and blas.threads == 4
     assert spectra._blas_pins == 0
-    # at --jobs 1 the first spectrum finishes, and is stored, before the
-    # failing one does; the failed one is not stored
-    assert cache.has(specs[0]) and not cache.has(specs[1])
+    assert solve_pool_threads() == before
+    # at --jobs 1 the largest spectrum solves alone first and is stored;
+    # the failing one is not stored, and the one after it never starts
+    assert solved == [20, 18]
+    assert [cache.has(spec) for spec in specs] == [False, False, True]
 
 
 def test_solve_many_restores_the_real_blas_thread_count(tmp_path, monkeypatch):
@@ -494,6 +504,30 @@ def test_reruns_leave_identical_cache_trees(tmp_path, capsys, later):
     later()
     assert solve_to_cache(tmp_path, capsys, "first", "0.3", "0.1", "1") == first
     assert tree_bytes(first) == before
+
+
+def test_weyl_schedule_changes_no_bytes(tmp_path, capsys, monkeypatch):
+    # symmetric masks (N = 64, 256) and full solves (N = 10 mod 20) share
+    # the cores differently at --jobs 1 and 2; the files are the same, and
+    # the manifests differ only in the jobs they record
+    monkeypatch.setattr(spectra, "_available_cores", lambda: 2)
+    trees = []
+    for jobs in ("1", "2"):
+        (tmp_path / jobs).mkdir()
+        monkeypatch.chdir(tmp_path / jobs)
+        code, _, err = run(["weyl", "--qc", "0.5", "--dq", "0.1", "--n", "64,70,90,130,256",
+                            "--out", "out", "--jobs", jobs], capsys)
+        assert code == 0, err
+        trees.append(tree_bytes(tmp_path / jobs / "out"))
+    one, two = trees
+    assert sorted(one) == sorted(two) and len([p for p in one if p.startswith("cache")]) == 5
+    for path, data in one.items():
+        if path.endswith(".manifest.json"):
+            mine, theirs = json.loads(data), json.loads(two[path])
+            assert (mine["parameters"].pop("jobs"), theirs["parameters"].pop("jobs")) == ("1", "2")
+            assert mine == theirs, path
+        else:
+            assert data == two[path], path
 
 
 def test_cli_import_loads_no_test_dependency():

@@ -305,6 +305,17 @@ def test_get_or_compute_is_solve_for_one_spec(tmp_path):
         assert rs.values.tobytes() == solved[spec].values.tobytes()
 
 
+def test_solve_takes_a_generator_as_a_list(tmp_path):
+    dims = (16, 18)
+    listed = SpectrumCache(tmp_path / "list").solve(
+        [PropagatorSpec(n, OpeningSpec("0.3", "0.1")) for n in dims])
+    generated = SpectrumCache(tmp_path / "generator").solve(
+        PropagatorSpec(n, OpeningSpec("0.3", "0.1")) for n in dims)
+    assert list(generated[0]) == list(listed[0]) and generated[1] == listed[1] == set()
+    assert all(generated[0][spec].values.tobytes() == rs.values.tobytes()
+               for spec, rs in listed[0].items())
+
+
 def test_cache_recompute_bitwise_identical(tmp_path):
     spec = PropagatorSpec(24, OpeningSpec(0.5, 0.2))
     first = SpectrumCache(tmp_path / "a")

@@ -1,5 +1,6 @@
 """Eigensolver wrapper, canonical ordering, and the slow oracle."""
 
+import concurrent.futures as futures
 import ctypes
 import os
 import subprocess
@@ -424,30 +425,99 @@ def test_every_block_solves_on_the_pool_at_one_blas_thread(monkeypatch):
     assert len(blas.sets) == 6
 
 
-def test_paired_solve_builds_both_blocks_on_the_calling_thread(monkeypatch):
+def total_bytes(spec) -> int:
+    """Bytes of a spec's blocks: two of (dim/2)^2 complex entries, or one of dim^2."""
+    return (8 if is_mirror_symmetric(spec) else 16) * spec.dim**2
+
+
+@pytest.fixture
+def schedule(monkeypatch):
+    """Log the solve loop's block builds, submits and waits, in order.
+
+    A build entry holds the block's name, (dim, sign) for a parity block
+    and the spec for a full matrix, the matrix and whether the calling
+    thread built it.  A block counts as alive from its submit to the end
+    of its solve; a submit entry holds the matrix and the bytes and count
+    alive just after it.
+    """
+    log, alive, lock = [], [], threading.Lock()
+    parity, full, real_wait = spectra.parity_block, spectra.open_propagator, futures.wait
+
+    def built(m, name):
+        log.append(("build", name, m, threading.current_thread() is threading.main_thread()))
+        return m
+
+    class Pool(futures.ThreadPoolExecutor):
+        def submit(self, fn, m, *args):
+            with lock:
+                alive.append(m.nbytes)
+                log.append(("submit", m, sum(alive), len(alive)))
+
+            def solve():
+                try:
+                    return fn(m, *args)
+                finally:
+                    with lock:
+                        alive.remove(m.nbytes)
+
+            return super().submit(solve)
+
+    def logged_wait(*args, **kwargs):
+        log.append(("wait",))
+        return real_wait(*args, **kwargs)
+
+    monkeypatch.setattr(spectra, "parity_block",
+                        lambda dim, keep, sign: built(parity(dim, keep, sign), (dim, sign)))
+    monkeypatch.setattr(spectra, "open_propagator",
+                        lambda spec, keep: built(full(spec, keep), spec))
+    monkeypatch.setattr(futures, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(futures, "wait", logged_wait)
+    return log
+
+
+def block_names(specs) -> list:
+    """The build names of specs' blocks, largest spec first, ties in the order given."""
+    ordered = sorted(specs, key=lambda spec: -total_bytes(spec))
+    return [name for spec in ordered for name in (
+        [(spec.dim, 1), (spec.dim, -1)] if is_mirror_symmetric(spec) else [spec])]
+
+
+def check_schedule(log, specs, jobs, cores) -> tuple[list, list]:
+    """Assert the solve loop's contract on log; return its (builds, submits).
+
+    Every block is built on the calling thread just before its submit,
+    the largest spec's first; the bytes alive stay within jobs times the
+    largest spec's, and at most cores blocks are alive.
+    """
+    steps = [entry for entry in log if entry[0] != "wait"]
+    builds, submits = steps[0::2], steps[1::2]
+    assert [b[0] for b in builds] == ["build"] * len(builds)
+    assert [s[0] for s in submits] == ["submit"] * len(builds)
+    assert all(b[3] and s[1] is b[2] for b, s in zip(builds, submits))
+    assert sorted(map(str, (b[1] for b in builds))) == sorted(map(str, block_names(specs)))
+    assert builds[0][1] == block_names(specs)[0]
+    budget = jobs * max(map(total_bytes, specs))
+    assert max(s[2] for s in submits) <= budget
+    assert max(s[3] for s in submits) <= cores
+    return builds, submits
+
+
+def test_paired_solve_builds_both_blocks_on_the_calling_thread(monkeypatch, schedule):
     # a block built on the worker came from a second malloc arena, whose
     # kept pages made a run's peak RSS depend on the sizes solved before it
     monkeypatch.setattr(spectra, "_available_cores", lambda: 2)
     calls = record_solves(monkeypatch, FakeBlas(4))
-    built = []
-    parity, full = spectra.parity_block, spectra.open_propagator
-
-    def recording_parity(dim, keep, sign):
-        built.append((threading.current_thread() is threading.main_thread(), sign))
-        return parity(dim, keep, sign)
-
-    def recording_full(spec, keep):
-        built.append((threading.current_thread() is threading.main_thread(), 0))
-        return full(spec, keep)
-
-    monkeypatch.setattr(spectra, "parity_block", recording_parity)
-    monkeypatch.setattr(spectra, "open_propagator", recording_full)
     resonance_set(SYMMETRIC)
-    assert built == [(True, 1), (True, -1)]
+    builds, _ = check_schedule(schedule, [SYMMETRIC], 1, 2)
+    assert [b[1] for b in builds] == [(64, 1), (64, -1)]
     assert calls == [(False, 1)] * 2
-    built.clear()
-    list(resonance_sets([SYMMETRIC, ASYMMETRIC, SYMMETRIC], jobs=2))
-    assert built == [(True, 1), (True, -1), (True, 0), (True, 1), (True, -1)]
+    # the larger full solve goes first, then the equal specs in the order given
+    schedule.clear()
+    specs = [SYMMETRIC, ASYMMETRIC, SYMMETRIC]
+    list(resonance_sets(specs, jobs=2))
+    builds, _ = check_schedule(schedule, specs, 2, 2)
+    assert [b[1] for b in builds] == [ASYMMETRIC, (64, 1), (64, -1), (64, 1), (64, -1)]
+    assert calls == [(False, 1)] * 7
 
 
 def test_paired_solve_restores_blas_threads_when_a_block_raises(monkeypatch):
@@ -473,8 +543,9 @@ def test_early_stop_releases_the_lock_and_joins_the_pool(monkeypatch):
     before = pool_threads()
     solving = resonance_sets(specs, jobs=2)
     try:
-        # either of the two specs handed out first may finish first
-        assert next(solving).spec in specs[:2]
+        # either of the two specs handed out first, the full solve and
+        # the larger symmetric one, may finish first
+        assert next(solving).spec in specs[1:]
         assert spectra._blas_pins == 1 and blas.threads == 1
     finally:
         # closed even when an assertion fails, so the pin never leaks
@@ -597,34 +668,57 @@ def test_raised_closed_and_concurrent_loops_restore_the_real_blas_count():
     assert blas.get_threads() == before and spectra._blas_pins == 0
 
 
-def test_jobs_bounds_the_spectra_in_flight(monkeypatch):
-    # the blocks of at most min(jobs, cores) specs are alive, the next spec
-    # is handed out before a finished one is yielded, and a spec is yielded
-    # when it finishes, so a slow one holds back no idle worker
-    monkeypatch.setattr(spectra, "_available_cores", lambda: 2)
+def test_jobs_bounds_the_spectra_in_flight(monkeypatch, schedule):
+    # the blocks alive hold at most jobs times the largest spec's bytes on
+    # at most cores workers; the next block is handed out before a finished
+    # spec is yielded, and a spec is yielded when it finishes, so a slow
+    # one holds back no idle worker
     blas = FakeBlas(5)
     calls = record_solves(monkeypatch, blas)
-    built = []
     blocks = spectra._blocks
+    decided = []
 
     def recording(spec):
-        built.append(spec)
+        decided.append(spec)
         return blocks(spec)
 
     monkeypatch.setattr(spectra, "_blocks", recording)
-    specs = [PropagatorSpec(dim, OpeningSpec(qc, "0.1"))
-             for dim in (64, 66, 68) for qc in ("0.5", "0.3")]
-    assert sum(is_mirror_symmetric(spec) for spec in specs) >= 2
-    for jobs, window in ((1, 1), (2, 2), (8, 2)):
-        built.clear()
-        yielded = []
-        for k, rs in enumerate(resonance_sets(specs, jobs)):
-            yielded.append(rs.spec)
-            assert built == specs[: min(window + k + 1, len(specs))]
-        assert sorted(yielded, key=specs.index) == specs
+    specs = [PropagatorSpec(dim, OpeningSpec(qc, dq))
+             for dim in (64, 66, 68) for qc, dq in (("0.5", "0.1"), ("0.3", "0.2"))]
+    # the largest in the middle, and a tie with (0.3, 0.2) at N = 68
+    specs[3:3] = [PropagatorSpec(96, OpeningSpec("0.5", "0.1")),
+                  PropagatorSpec(68, OpeningSpec("0.3", "0.1"))]
+    assert sum(is_mirror_symmetric(spec) for spec in specs) == 4
+    runs = 0
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(spectra, "_available_cores", lambda: cores)
+        for jobs in (1, 2, 5):
+            schedule.clear()
+            decided.clear()
+            yielded, runs = [], runs + 1
+            for rs in resonance_sets(specs, jobs):
+                # every block's size is decided before the first is built
+                assert decided == specs
+                yielded.append(rs.spec)
+                submitted = sum(entry[0] == "submit" for entry in schedule)
+                done = sum(2 if is_mirror_symmetric(s) else 1 for s in yielded)
+                assert submitted > done or submitted == len(block_names(specs))
+            assert sorted(yielded, key=specs.index) == specs
+            builds, _ = check_schedule(schedule, specs, jobs, cores)
+            if cores == 1:
+                assert [b[1] for b in builds] == block_names(specs)
     # every block and full solve on 1 thread, and the 5 back after each run
     assert {threads for _, threads in calls} == {1}
-    assert blas.sets == [1, 5] * 3 and blas.threads == 5
+    assert blas.sets == [1, 5] * runs and blas.threads == 5
+    # a full solve shares the cores with another spec's block when the
+    # bytes allow it: at jobs 2 both go out before the first wait
+    monkeypatch.setattr(spectra, "_available_cores", lambda: 2)
+    for jobs, first in ((1, [ASYMMETRIC]), (2, [ASYMMETRIC, (64, 1)])):
+        schedule.clear()
+        list(resonance_sets([SYMMETRIC, ASYMMETRIC], jobs))
+        check_schedule(schedule, [SYMMETRIC, ASYMMETRIC], jobs, 2)
+        before_wait = schedule[: schedule.index(("wait",))]
+        assert [e[1] for e in before_wait if e[0] == "build"] == first
     slow, fast = PropagatorSpec(66, OpeningSpec("0.3", "0.1")), ASYMMETRIC
 
     def slow_66(m, overwrite=False):
@@ -636,6 +730,23 @@ def test_jobs_bounds_the_spectra_in_flight(monkeypatch):
     assert [rs.spec for rs in resonance_sets([slow, fast], 2)] == [fast, slow]
     with pytest.raises(ValueError, match="jobs must be at least 1"):
         next(resonance_sets(specs, 0))
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_the_schedule_changes_no_bits(monkeypatch, cores):
+    # mirror-symmetric and asymmetric (N = 10 mod 20) masks at (0.5, 0.1),
+    # and full solves at (0.3, 0.2), in one list: the values are those of
+    # one spec solved at a time, bit for bit
+    specs = [PropagatorSpec(dim, OpeningSpec("0.5", "0.1")) for dim in (64, 70, 90, 128, 130)]
+    specs += [PropagatorSpec(dim, OpeningSpec("0.3", "0.2")) for dim in (64, 90)]
+    symmetric = [is_mirror_symmetric(spec) for spec in specs]
+    assert symmetric == [True, False, False, True, False, False, False]
+    alone = {spec: resonance_set(spec).values for spec in specs}
+    monkeypatch.setattr(spectra, "_available_cores", lambda: cores)
+    for jobs in (1, 2, 5):
+        solved = {rs.spec: rs.values for rs in resonance_sets(specs, jobs)}
+        assert list(sorted(solved, key=specs.index)) == specs
+        assert all(same_bits(solved[spec], alone[spec]) for spec in specs), jobs
 
 
 def test_fallback_gives_the_same_bits_with_numpy(monkeypatch, one_blas_thread):
