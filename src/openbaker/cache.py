@@ -31,8 +31,9 @@ from .spectra import ResonanceSet, resonance_sets
 
 # bump when the solver or the entry format changes; 4: every block solved
 # on one BLAS thread; 5: raw complex128 payloads, not CSV; 6: the digest
-# heads the payload, and no manifest
-SOLVER_VERSION = 6
+# heads the payload, and no manifest; 7: each block solved on its kept
+# sites only, the absorbed sites' zeros appended
+SOLVER_VERSION = 7
 
 PAYLOAD_DTYPE = np.dtype("<c16")
 DIGEST_SIZE = hashlib.sha256().digest_size

@@ -30,16 +30,14 @@ WEYL_HEADER = "N,count,log10N,log10count"
 
 
 def _write_text(path, header: str, lines: Iterable[str]) -> None:
-    """Write header and the already formatted, newline-terminated rows.
+    """Write header and the already formatted, newline-terminated rows, in one call.
 
     Each writer formats a row with one %-format: "%.Ng" renders a number
     exactly as format(float(x), ".Ng") does, infinities as inf.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(header + "\n")
-        fh.writelines(lines)
+    path.write_bytes("".join([header, "\n", *lines]).encode("ascii"))
 
 
 def write_sweep_csv(path, delta_q, t: int, rows) -> None:

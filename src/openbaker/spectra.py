@@ -19,7 +19,9 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .propagator import PropagatorSpec, open_propagator, parity_block
+# open_propagator, the full matrix, is unused here; it stays importable
+# for the benchmark's span tracer until that is re-pointed (ROADMAP item 5)
+from .propagator import PropagatorSpec, kept_block, open_propagator, parity_block  # noqa: F401
 
 MAX_EIGEN_DIM = 4096
 
@@ -205,25 +207,28 @@ def resonance_set(spec: PropagatorSpec) -> ResonanceSet:
 
 
 def _blocks(spec: PropagatorSpec) -> list[tuple[int, Callable[[], np.ndarray]]]:
-    """The matrices whose spectra make up spec's, as (bytes, build) pairs.
+    """The matrices whose spectra make up spec's nonzero part, as (bytes, build) pairs.
 
     The closed propagator commutes with the reflection R: j -> dim-1-j,
     so the opened one, A, is solved for the canonical kept mask
     (PropagatorSpec.canonical_mask): R A R, which is B with the mirrored
     columns zeroed, when the spec's own mask is the mirror image.  An
-    opening and its mirror image thus get the same bits.  When the mask
-    is mirror-symmetric, A commutes with R too, and its spectrum is that
-    of the even and odd blocks A11 + A12 J and A11 - A12 J, where J
-    reverses dim/2 indices: two solves of half the size, a quarter of the
-    work.  The blocks come straight from the closed form (parity_block),
-    so A is never formed.  Other masks give A itself.  The sizes follow
-    from the mask alone; no matrix is built until build is called.
+    opening and its mirror image thus get the same bits.  Each absorbed
+    column of A is zero, so A's spectrum is that of its kept rows and
+    columns (kept_block) plus one exact zero per absorbed site.  When the
+    mask is mirror-symmetric, A commutes with R too, and its spectrum is
+    that of the even and odd blocks A11 + A12 J and A11 - A12 J, where J
+    reverses dim/2 indices, each again on its kept sites (parity_block):
+    two solves of half the size, a quarter of the work.  Each block of m
+    kept sites takes 16 m^2 bytes, and A is never formed.  The sizes
+    follow from the mask alone; no matrix is built until build is called.
     """
     keep, dim = spec.canonical_mask(), spec.dim
     if (keep == keep[::-1]).all():
-        return [(16 * (dim // 2) ** 2, lambda: parity_block(dim, keep, 1)),
-                (16 * (dim // 2) ** 2, lambda: parity_block(dim, keep, -1))]
-    return [(16 * dim**2, lambda: open_propagator(spec, keep))]
+        size = 16 * int(keep[: dim // 2].sum()) ** 2
+        return [(size, lambda: parity_block(dim, keep, 1)),
+                (size, lambda: parity_block(dim, keep, -1))]
+    return [(16 * int(keep.sum()) ** 2, lambda: kept_block(dim, keep))]
 
 
 def resonance_sets(specs, jobs: int = 1) -> Iterator[ResonanceSet]:
@@ -237,12 +242,14 @@ def resonance_sets(specs, jobs: int = 1) -> Iterator[ResonanceSet]:
     sizes) and solved in place at one BLAS thread, so the bits depend on
     neither jobs, the core count nor the schedule.  A block fits while
     the bytes of blocks alive, its own included, stay within jobs times
-    the largest spec's total, so blocks of different specs, a lone
-    asymmetric solve's among them, share the cores whenever that allows.
-    The next block is handed out before a finished spec is yielded, so
-    the consumer's work overlaps the solves.  Finished, raised or closed
-    early, the pool is joined and the count restored once no other loop
-    or solve holds it at one.
+    the largest spec's total, 16 bytes per entry of its kept blocks, so
+    blocks of different specs, a lone asymmetric solve's among them,
+    share the cores whenever that allows.  A finished spec is its blocks'
+    eigenvalues plus one exact zero per absorbed site, sorted.  The next
+    block is handed out before it is yielded, so the consumer's work
+    overlaps the solves.  Finished, raised or closed early, the pool is
+    joined and the count restored once no other loop or solve holds it
+    at one.
     """
     specs = list(specs)
     if jobs < 1:
@@ -284,7 +291,8 @@ def resonance_sets(specs, jobs: int = 1) -> Iterator[ResonanceSet]:
                     running[pool.submit(eigenvalues, block[3](), True)] = block
                 if ready:
                     i = ready.pop(0)
-                    w = sort_spectrum(np.concatenate(parts[i]))
+                    zeros = np.zeros(specs[i].dim - sum(part.size for part in parts[i]))
+                    w = sort_spectrum(np.concatenate(parts[i] + [zeros]))
                     w.setflags(write=False)
                     parts[i] = None
                     yield ResonanceSet(spec=specs[i], values=w)

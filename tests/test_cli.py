@@ -151,7 +151,7 @@ def test_spectrum_renders_pinned_bytes(tmp_path, capsys):
         code, out, _ = run(argv, capsys)
         assert code == 0 and expected in out
         assert csvio.sha256_file(tmp_path / "spectrum_N64_qc0.3_dq0.1.csv") == (
-            "fe8035ae0c0c7e429e33279f3cdccd8f1adc41c6869c67aeecf1dcdbe63f1abf"
+            "64da3464dd078698e196ea99e5bbc1fd630b54410458d72544ce109b5d246ed0"
         )
 
 
@@ -344,10 +344,13 @@ def test_solve_many_restores_blas_threads_when_a_solve_raises(tmp_path, monkeypa
     blas = FakeBlas(4)
     solve = spectra.eigenvalues
     solved = []
+    specs = [PropagatorSpec(dim, OpeningSpec("0.3", "0.1")) for dim in (16, 18, 20)]
+    # each spec is one solve of its 14, 16 or 18 kept sites
+    dims = {int(spec.kept_mask().sum()): spec.dim for spec in specs}
 
     def failing(m, overwrite=False):
-        solved.append(m.shape[0])
-        if m.shape[0] == 18:
+        solved.append(dims[m.shape[0]])
+        if solved[-1] == 18:
             raise EigensolverError("QR iteration did not converge")
         return solve(m, overwrite)
 
@@ -355,7 +358,6 @@ def test_solve_many_restores_blas_threads_when_a_solve_raises(tmp_path, monkeypa
     monkeypatch.setattr(spectra, "eigenvalues", failing)
     monkeypatch.setattr(spectra, "_available_cores", lambda: 2)
     cache = SpectrumCache(tmp_path)
-    specs = [PropagatorSpec(dim, OpeningSpec("0.3", "0.1")) for dim in (16, 18, 20)]
     before = solve_pool_threads()
     with pytest.raises(EigensolverError):
         cache.solve(specs, 1)

@@ -274,10 +274,33 @@ def test_cache_key_names_solver_version_5(dim, qc, dq, key, monkeypatch):
         (1266, "0.5", "0.1", "3fc89264b1acdfca8b458974746503b762de7c4a7565b240525812df3540a8eb"),
     ],
 )
-def test_cache_key_names_solver_version_6(dim, qc, dq, key):
+def test_cache_key_names_solver_version_6(dim, qc, dq, key, monkeypatch):
     # version 6 heads each entry with its digest and drops the manifest;
-    # entries of version 5 are never read again, and existing caches stay
-    # readable only while these digests hold
+    # entries of version 5 are never read again
+    monkeypatch.setattr(cache_module, "SOLVER_VERSION", 6)
+    cache_key.cache_clear()
+    try:
+        assert cache_key(PropagatorSpec(dim, OpeningSpec(qc, dq))) == key
+    finally:
+        cache_key.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "dim, qc, dq, key",
+    [
+        (64, "0.3", "0.1", "49ec0b1d6c95584f3f94ff504dbd1faa2cae646a425c4c725228b2abf76c1246"),
+        (64, "0.7", "0.1", "49ec0b1d6c95584f3f94ff504dbd1faa2cae646a425c4c725228b2abf76c1246"),
+        (50, "0.5", "0.1", "692e35b4b71dc76f37d356cb5353eb58712a1d7b0ace174edb0fa1fe1f04797d"),
+        (16, "0.5", "0", "70940e03f78d04af0d2294a0dad4e8f9e412231194b71cf40d4dc8ace0cb5078"),
+        (16, "0.5", "1", "1855b293923ad209f5cfe44ac69e3ae954558affe9fe81d6909977a8f17bec94"),
+        (16, "0", "0.2", "121d1f5d479bb689982c01d97b9c112c55f59575004633b8cba8b0bbe169c70b"),
+        (1266, "0.5", "0.1", "27d7d0df38515698921a9f1de00112cb77f8b5996991f59ef10b443e79e871d0"),
+    ],
+)
+def test_cache_key_names_solver_version_7(dim, qc, dq, key):
+    # version 7 solves each block on its kept sites only, which moves the
+    # last bits; entries of version 6 are never read again, and existing
+    # caches stay readable only while these digests hold
     assert cache_key(PropagatorSpec(dim, OpeningSpec(qc, dq))) == key
 
 

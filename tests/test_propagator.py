@@ -1,5 +1,6 @@
 """Quantized propagators: kernels, openings, diagonals."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,11 +9,13 @@ import pytest
 from openbaker.classical import OpeningSpec
 from openbaker.propagator import (
     PropagatorSpec,
+    _kernel_view,
+    _row_twist,
     baker_propagator,
+    kept_block,
     open_propagator,
     open_trace,
     parity_block,
-    propagator_diagonal,
 )
 from oracles import contains_q, gn_matrix, removed_count
 
@@ -125,10 +128,13 @@ def test_open_propagator_columns():
 
 @pytest.mark.parametrize("dim", [16, 64, 2048])
 def test_diagonal_shortcut(dim):
+    # open_trace evaluates the closed-form diagonal at the kept sites only
     b = baker_propagator(dim)
-    assert np.abs(propagator_diagonal(dim) - np.diag(b)).max() < 1e-12
-    spec = PropagatorSpec(dim, OpeningSpec(0.3, 0.1))
-    assert abs(open_trace(spec) - np.trace(open_propagator(spec))) < 1e-10
+    for qc, dq in (("0.3", "0.1"), ("0.5", "0.1"), ("0", "0.4"), ("0.5", "0"), ("0.5", "1")):
+        spec = PropagatorSpec(dim, OpeningSpec(qc, dq))
+        keep = spec.kept_mask()
+        assert abs(open_trace(spec) - np.trace(open_propagator(spec))) < 1e-10
+        assert abs(open_trace(spec) - np.diag(b)[keep].sum()) < 1e-12
 
 
 def symmetric_mask(spec) -> np.ndarray:
@@ -144,6 +150,12 @@ def sliced_blocks(a):
     return a11 + a12j, a11 - a12j
 
 
+def kept_slice(m, keep) -> bytes:
+    """The bytes of m's kept rows and columns, column-major, as a builder lays them out."""
+    kept = np.flatnonzero(keep)
+    return np.asfortranarray(m[np.ix_(kept, kept)]).tobytes(order="F")
+
+
 # N = 602 has an odd half size; (0.5, 0) is the closed map and (0, 0.4)
 # wraps through q = 0
 @pytest.mark.parametrize("dim", [2, 4, 602, 1262])
@@ -156,9 +168,66 @@ def test_parity_blocks_are_slices_of_the_opened_matrix(dim, qc, dq):
     even, odd = sliced_blocks(open_propagator(spec))
     for sign, expected in ((1, even), (-1, odd)):
         block = parity_block(dim, keep, sign)
-        assert block.shape == (dim // 2, dim // 2)
+        # only the kept k < dim/2: the rows and columns of the absorbed ones
+        # are never built
+        assert block.shape == (keep[: dim // 2].sum(),) * 2 and block.flags.f_contiguous
         # bit for bit, signed zeros included
-        assert block.tobytes() == np.ascontiguousarray(expected).tobytes()
+        assert block.tobytes(order="F") == kept_slice(expected, keep[: dim // 2])
+
+
+def parents_parity_block(dim, keep, sign):
+    """The dim/2 x dim/2 parity block, absorbed columns zeroed, built as before
+    the kept-site builders."""
+    h = dim // 2
+    block = np.multiply(_kernel_view(dim, h, h, 2, 1 - dim), _row_twist(np.arange(h)[:, None]),
+                        order="F")
+    (np.add if sign > 0 else np.subtract)(_kernel_view(dim, h, h, -2, -1), block, out=block)
+    block[:, ~keep[:h]] = 0
+    return block
+
+
+# every opening of the criterion-07 and criterion-08 kinds, a mirror
+# image, an asymmetric mask at N = 10 (mod 20), the closed map, a hole
+# through q = 0 and one that absorbs every site
+OPENINGS = [("0.5", "0.1"), ("0.3", "0.2"), ("0.7", "0.2"), ("0.3", "0.1"), ("0.5", "0.05"),
+            ("0.5", "0"), ("0", "0.4"), ("0.5", "1")]
+
+
+@pytest.mark.parametrize("dim", [10, 50, 64, 602])
+def test_kept_builders_are_kept_slices(dim):
+    for qc, dq in OPENINGS:
+        spec = PropagatorSpec(dim, OpeningSpec(qc, dq))
+        for keep in (spec.kept_mask(), spec.canonical_mask()):
+            block = kept_block(dim, keep)
+            assert block.shape == (keep.sum(),) * 2 and block.flags.f_contiguous
+            assert block.tobytes(order="F") == kept_slice(open_propagator(spec, keep), keep)
+            if (keep == keep[::-1]).all():
+                even, odd = sliced_blocks(open_propagator(spec, keep))
+                for sign, sliced in ((1, even), (-1, odd)):
+                    block = parity_block(dim, keep, sign)
+                    assert block.tobytes(order="F") == kept_slice(sliced, keep[: dim // 2])
+                    parent = parents_parity_block(dim, keep, sign)
+                    assert block.tobytes(order="F") == kept_slice(parent, keep[: dim // 2])
+
+
+@pytest.mark.parametrize("dim", [602, 2048])
+def test_kept_builders_allocate_only_their_block(dim):
+    # the calling thread builds a block while others solve, so no dim x dim
+    # or dim/2 x dim/2 temporary may exist: only the block, O(dim) kernel
+    # tables and numpy's fixed-size ufunc buffers (0.3-0.8 MB measured)
+    allowance = 2**20
+    assert allowance < 16 * (dim // 2) ** 2
+    for qc, build in (("0.3", lambda keep: kept_block(dim, keep)),
+                      ("0.5", lambda keep: parity_block(dim, keep, -1)),
+                      ("0.7", lambda keep: kept_block(dim, keep))):
+        keep = PropagatorSpec(dim, OpeningSpec(qc, "0.1")).kept_mask()
+        tracemalloc.start()
+        try:
+            block = build(keep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= block.nbytes + allowance, (qc, (peak - block.nbytes) / 2**20)
 
 
 @pytest.mark.parametrize("dim", [2, 4, 6, 10, 16])
@@ -175,6 +244,8 @@ def test_parity_blocks_match_definition(dim):
     assert len(masks) == dim
     for mask in masks:
         keep = np.array(mask)
+        kept = np.flatnonzero(keep[: dim // 2])
         even, odd = sliced_blocks(b * keep)
-        assert np.abs(parity_block(dim, keep, 1) - even).max() < 1e-12
-        assert np.abs(parity_block(dim, keep, -1) - odd).max() < 1e-12
+        for sign, sliced in ((1, even), (-1, odd)):
+            expected = sliced[np.ix_(kept, kept)]
+            assert np.abs(parity_block(dim, keep, sign) - expected).max(initial=0) < 1e-12

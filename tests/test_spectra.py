@@ -296,21 +296,71 @@ def test_parity_split_matches_full_solve(dim, qc, dq, monkeypatch):
     spec = PropagatorSpec(dim, OpeningSpec(qc, dq))
     assert is_mirror_symmetric(spec)
     rs, shapes = solve_recording_shapes(spec, monkeypatch)
-    assert shapes == [(dim // 2, dim // 2)] * 2
+    # each block on its kept sites only
+    kept = int(spec.kept_mask()[: dim // 2].sum())
+    assert kept < dim // 2 and shapes == [(kept, kept)] * 2
     full = eigenvalues(open_propagator(spec))
     assert multiset_distance(rs.values, full) < 1e-9
     assert (rs.values == sort_spectrum(rs.values)).all()
 
 
-def test_asymmetric_mask_solves_full_matrix(monkeypatch):
+def test_asymmetric_mask_solves_its_kept_block(monkeypatch):
     # N = 50 puts site 22 on the closed edge q = 0.45 of the centred strip,
     # while its mirror 27 sits on the open edge 0.55
     spec = PropagatorSpec(50, OpeningSpec("0.5", "0.1"))
     keep = spec.kept_mask()
     assert not keep[22] and keep[27]
     rs, shapes = solve_recording_shapes(spec, monkeypatch)
-    assert shapes == [(50, 50)]
-    assert multiset_distance(rs.values, eigenvalues(open_propagator(spec))) == 0
+    # one solve of the 45 kept sites, and the 5 absorbed ones' exact zeros
+    assert shapes == [(45, 45)]
+    assert (rs.values == 0).sum() == 5
+    assert multiset_distance(rs.values, eigenvalues(open_propagator(spec))) < 1e-12
+
+
+# masks of both kinds, mirror images, the closed map, a hole through
+# q = 0, an empty one, and N = 10 (mod 20), where (0.5, 0.1) is asymmetric
+ZERO_COUNT_SPECS = [PropagatorSpec(dim, OpeningSpec(qc, dq)) for dim, qc, dq in (
+    (16, "0.5", "0"), (16, "0.5", "1"), (50, "0.5", "0.1"), (64, "0.5", "0.1"),
+    (64, "0.3", "0.2"), (64, "0.7", "0.2"), (130, "0", "0.4"), (602, "0.5", "0.1"),
+    (570, "0.3", "0.2"))]
+
+
+@pytest.mark.parametrize(
+    "spec", ZERO_COUNT_SPECS,
+    ids=lambda spec: f"{spec.dim}-{float(spec.opening.q_c):g}-{float(spec.opening.delta_q):g}")
+def test_every_absorbed_site_gives_one_exact_zero(spec, one_blas_thread):
+    # A = B P has one zero column per absorbed site: the solver's spectrum
+    # holds exactly that many values equal to 0, as does a full solve of A
+    absorbed = spec.dim - int(spec.kept_mask().sum())
+    values = resonance_set(spec).values
+    full = np.linalg.eigvals(open_propagator(spec))
+    assert (values == 0).sum() == (full == 0).sum() == absorbed
+    # the zeros sort last, and only the near-zero cluster differs from a
+    # full solve: every modulus above 0.3 agrees to 1e-10
+    assert (values[values.size - absorbed :] == 0).all()
+    top, full_top = values[np.abs(values) > 0.3], full[np.abs(full) > 0.3]
+    assert top.size == full_top.size
+    assert top.size == 0 or multiset_distance(top, full_top) < 1e-10
+
+
+def test_kept_solve_matches_oracle_on_every_mask():
+    # every mask a strip can cut from grids of N <= 8, mirror-symmetric or
+    # not, solved through the kept blocks and their appended zeros
+    seen = set()
+    for dim in (2, 4, 6, 8):
+        for a in range(2 * dim):
+            for b in range(dim + 1):
+                spec = PropagatorSpec(dim, OpeningSpec(Fraction(a, 2 * dim), Fraction(b, dim)))
+                key = (dim, tuple(spec.canonical_mask()))
+                if key in seen:
+                    continue
+                seen.add(key)
+                oracle = brute_force_spectrum_oracle(open_propagator(spec))
+                values = resonance_set(spec).values
+                assert multiset_distance(values, oracle) < 1e-12, key
+                assert (values == 0).sum() == dim - spec.kept_mask().sum(), key
+    # the 20 mirror-symmetric masks and 44 canonical asymmetric ones
+    assert len(seen) == 64 and sum(mask != mask[::-1] for _, mask in seen) == 44
 
 
 def test_mirror_opening_solves_the_canonical_mask():
@@ -333,11 +383,13 @@ def test_resonance_set_rejects_dimension_above_cap():
         resonance_set(PropagatorSpec(spectra.MAX_EIGEN_DIM + 2, OpeningSpec("0.5", "0.2")))
 
 
-@pytest.mark.parametrize("qc,budget", [("0.5", 0.75), ("0.3", 1.25)])
+@pytest.mark.parametrize("qc,budget", [("0.5", 0.6), ("0.3", 0.95)])
 def test_solve_peak_memory(qc, budget):
     # traced Python and numpy allocations of one solve at N = 1024, in
-    # units of one N x N complex matrix: the symmetric (0.5, 0.1) never
-    # forms it, the asymmetric (0.3, 0.1) forms it once with no temporaries
+    # units of one N x N complex matrix, which neither forms: 922 of the
+    # 1024 sites are kept, so the symmetric (0.5, 0.1) holds two blocks of
+    # 461^2 entries (0.41), the asymmetric (0.3, 0.1) one of 922^2 (0.81),
+    # plus one slab (1/16) while a block is built and zgeev's workspace
     dim = 1024
     spec = PropagatorSpec(dim, OpeningSpec(qc, "0.1"))
     tracemalloc.start()
@@ -426,8 +478,12 @@ def test_every_block_solves_on_the_pool_at_one_blas_thread(monkeypatch):
 
 
 def total_bytes(spec) -> int:
-    """Bytes of a spec's blocks: two of (dim/2)^2 complex entries, or one of dim^2."""
-    return (8 if is_mirror_symmetric(spec) else 16) * spec.dim**2
+    """Bytes of a spec's blocks: two of |K_h|^2 complex entries, K_h the kept
+    sites below dim/2, or one of |K|^2, K all kept sites."""
+    keep = spec.kept_mask()
+    if is_mirror_symmetric(spec):
+        return 2 * 16 * int(keep[: spec.dim // 2].sum()) ** 2
+    return 16 * int(keep.sum()) ** 2
 
 
 @pytest.fixture
@@ -435,13 +491,13 @@ def schedule(monkeypatch):
     """Log the solve loop's block builds, submits and waits, in order.
 
     A build entry holds the block's name, (dim, sign) for a parity block
-    and the spec for a full matrix, the matrix and whether the calling
-    thread built it.  A block counts as alive from its submit to the end
-    of its solve; a submit entry holds the matrix and the bytes and count
-    alive just after it.
+    and the spec for a mirror-asymmetric mask's kept block, the matrix
+    and whether the calling thread built it.  A block counts as alive
+    from its submit to the end of its solve; a submit entry holds the
+    matrix and the bytes and count alive just after it.
     """
     log, alive, lock = [], [], threading.Lock()
-    parity, full, real_wait = spectra.parity_block, spectra.open_propagator, futures.wait
+    parity, kept, real_wait = spectra.parity_block, spectra.kept_block, futures.wait
 
     def built(m, name):
         log.append(("build", name, m, threading.current_thread() is threading.main_thread()))
@@ -468,8 +524,15 @@ def schedule(monkeypatch):
 
     monkeypatch.setattr(spectra, "parity_block",
                         lambda dim, keep, sign: built(parity(dim, keep, sign), (dim, sign)))
-    monkeypatch.setattr(spectra, "open_propagator",
-                        lambda spec, keep: built(full(spec, keep), spec))
+    blocks, specs = spectra._blocks, {}  # the spec of each (dim, canonical mask)
+
+    def kept_for(spec):
+        specs[spec.dim, spec.canonical_mask().tobytes()] = spec
+        return blocks(spec)
+
+    monkeypatch.setattr(spectra, "_blocks", kept_for)
+    monkeypatch.setattr(spectra, "kept_block", lambda dim, keep: built(
+        kept(dim, keep), specs[dim, keep.tobytes()]))
     monkeypatch.setattr(futures, "ThreadPoolExecutor", Pool)
     monkeypatch.setattr(futures, "wait", logged_wait)
     return log
@@ -720,9 +783,11 @@ def test_jobs_bounds_the_spectra_in_flight(monkeypatch, schedule):
         before_wait = schedule[: schedule.index(("wait",))]
         assert [e[1] for e in before_wait if e[0] == "build"] == first
     slow, fast = PropagatorSpec(66, OpeningSpec("0.3", "0.1")), ASYMMETRIC
+    slow_size = int(slow.kept_mask().sum())  # the kept sites of N = 66
+    assert slow_size > int(fast.kept_mask().sum())
 
     def slow_66(m, overwrite=False):
-        if m.shape[0] == 66:
+        if m.shape[0] == slow_size:
             time.sleep(0.3)
         return np.linalg.eigvals(m)
 

@@ -293,10 +293,15 @@ def test_monte_carlo_starts_no_thread(monkeypatch):
 
 @pytest.mark.parametrize("seed", [0, 9, 20260825])
 def test_random_doubles_are_the_top_53_bits_of_the_raw_stream(seed):
-    # the sampler reads random_raw and relies on rng.random's w >> 11
+    # the sampler draws full-range uint64 integers, which are the raw words
+    # of the stream, and relies on rng.random's w >> 11
     m = 10_001
     doubles = np.random.default_rng(seed).random(m)
     raw = np.random.default_rng(seed).bit_generator.random_raw(m)
+    rng = np.random.default_rng(seed)
+    words = np.concatenate([rng.integers(0, 2**64, size=k, dtype=np.uint64)
+                            for k in (1, 5000, m - 5001)])
+    assert words.dtype == np.uint64 and (words == raw).all()
     assert ((doubles * 2**53).astype(np.uint64) == raw >> np.uint64(11)).all()
 
 
@@ -326,18 +331,16 @@ def test_monte_carlo_joins_its_threads_also_when_a_chunk_raises(monkeypatch):
 
     class Stream:
         def __init__(self, seed):
-            self.bits = default_rng(seed).bit_generator
+            self.rng = default_rng(seed)
             self.drawn = 0
 
-        def random_raw(self, m):
+        def integers(self, *args, **kwargs):
             self.drawn += 1
-            x = self.bits.random_raw(m)
+            x = self.rng.integers(*args, **kwargs)
             return x.view(Poisoned) if self.drawn == 3 else x
 
     monkeypatch.setattr(trapped, "_MC_CHUNK", 2**10)
-    monkeypatch.setattr(
-        np.random, "default_rng", lambda seed: type("Rng", (), {"bit_generator": Stream(seed)})
-    )
+    monkeypatch.setattr(np.random, "default_rng", Stream)
     with pytest.raises(RuntimeError, match="bad chunk"):
         monte_carlo_area(OpeningSpec(0.5, 0.1), 3, 10**5, seed=2)
     assert set(threading.enumerate()) == before
