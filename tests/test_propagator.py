@@ -175,9 +175,9 @@ def test_parity_blocks_are_slices_of_the_opened_matrix(dim, qc, dq):
         assert block.tobytes(order="F") == kept_slice(expected, keep[: dim // 2])
 
 
-def parents_parity_block(dim, keep, sign):
-    """The dim/2 x dim/2 parity block, absorbed columns zeroed, built as before
-    the kept-site builders."""
+def zeroed_parity_block(dim, keep, sign):
+    """The dim/2 x dim/2 parity block with its absorbed columns zeroed, built
+    on every site as before the blocks were restricted to the kept ones."""
     h = dim // 2
     block = np.multiply(_kernel_view(dim, h, h, 2, 1 - dim), _row_twist(np.arange(h)[:, None]),
                         order="F")
@@ -206,8 +206,8 @@ def test_kept_builders_are_kept_slices(dim):
                 for sign, sliced in ((1, even), (-1, odd)):
                     block = parity_block(dim, keep, sign)
                     assert block.tobytes(order="F") == kept_slice(sliced, keep[: dim // 2])
-                    parent = parents_parity_block(dim, keep, sign)
-                    assert block.tobytes(order="F") == kept_slice(parent, keep[: dim // 2])
+                    zeroed = zeroed_parity_block(dim, keep, sign)
+                    assert block.tobytes(order="F") == kept_slice(zeroed, keep[: dim // 2])
 
 
 @pytest.mark.parametrize("dim", [602, 2048])

@@ -389,7 +389,7 @@ def test_solve_peak_memory(qc, budget):
     # units of one N x N complex matrix, which neither forms: 922 of the
     # 1024 sites are kept, so the symmetric (0.5, 0.1) holds two blocks of
     # 461^2 entries (0.41), the asymmetric (0.3, 0.1) one of 922^2 (0.81),
-    # plus one slab (1/16) while a block is built and zgeev's workspace
+    # plus zgeev's workspace and the sort
     dim = 1024
     spec = PropagatorSpec(dim, OpeningSpec(qc, "0.1"))
     tracemalloc.start()
