@@ -13,6 +13,7 @@ whatever consumes the CSVs.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from fractions import Fraction
@@ -314,7 +315,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the program, built on main's first call and kept.
+
+    argparse runs a text default through the option's type on every parse
+    that leaves the option out, so each Namespace gets its own default
+    objects and no build parses the 101-point grid.
+    """
     parser = _Parser(
         prog="openbaker",
         description="Escape dynamics and resonance statistics of the open baker map.",
@@ -330,15 +338,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("classical", parents=[common],
                        help="survivor-area sweeps, series, rasters")
-    c.add_argument("--dq", type=_fractions, default=_fractions(",".join(DQ_PRESETS)),
+    c.add_argument("--dq", type=_fractions, default=",".join(DQ_PRESETS),
                    help="comma list of opening widths")
-    c.add_argument("--grid", type=_grid, default=_grid("0:0.5:0.005"),
+    c.add_argument("--grid", type=_grid, default="0:0.5:0.005",
                    help="q_c grid start:stop:step")
     c.add_argument("--t", type=int, default=9, help=f"sweep time step, 0..{MAX_T}")
     c.add_argument("--series-qc", type=_fractions, default=[],
                    help="emit area series for these centers")
     c.add_argument("--tmax", type=int, default=25, help=f"series length, 0..{MAX_T}")
-    c.add_argument("--fit-range", type=_fit_range, default=FitRange(*DEFAULT_FIT_RANGE),
+    c.add_argument("--fit-range", type=_fit_range, default="%d:%d" % DEFAULT_FIT_RANGE,
                    help="escape-rate fit window t_lo:t_hi inside 0..--tmax")
     c.add_argument("--raster-qc", type=_fractions, default=[],
                    help="emit trapped-set rasters for these centers")
@@ -363,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--qc", type=_fractions, default=[])
     st.add_argument("--dq", type=_fraction, required=True)
     st.add_argument("--bin", type=float, default=DEFAULT_BIN_WIDTH)
-    st.add_argument("--range", type=_pair, default=_pair("0:1"),
+    st.add_argument("--range", type=_pair, default="0:1",
                     help="histogram modulus range lo:hi")
     st.add_argument("--tail-lo", type=float, default=TAIL_LO)
     st.add_argument("--nmin", type=int, default=WIDTH_DIM_RANGE[0])

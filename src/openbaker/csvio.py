@@ -9,6 +9,7 @@ the tool version and a content checksum.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -27,17 +28,27 @@ HISTOGRAM_HEADER = "nu_bin_left,W"
 WIDTH_HEADER = "N,q_c,sigma"
 RESCALED_HEADER = "gamma_over_gamma_cl,W"
 WEYL_HEADER = "N,count,log10N,log10count"
+# rows per write: writing each file's whole text at once, with its bytes
+# beside it, raised the warm stats benchmark's peak RSS by 0.27 MB
+_WRITE_ROWS = 512
 
 
 def _write_text(path, header: str, lines: Iterable[str]) -> None:
-    """Write header and the already formatted, newline-terminated rows, in one call.
+    """Write header and the already formatted, newline-terminated rows.
 
-    Each writer formats a row with one %-format: "%.Ng" renders a number
-    exactly as format(float(x), ".Ng") does, infinities as inf.
+    The rows go _WRITE_ROWS at a time, one encode and one write each, so
+    only one block's text is alive beside the rows' source.  Each writer
+    formats a row with one %-format: "%.Ng" renders a number exactly as
+    format(float(x), ".Ng") does, infinities as inf.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes("".join([header, "\n", *lines]).encode("ascii"))
+    lines = iter(lines)
+    with open(path, "wb") as fh:
+        fh.write((header + "\n").encode("ascii"))
+        # every row ends in a newline, so only an exhausted iterator joins to ""
+        while block := "".join(itertools.islice(lines, _WRITE_ROWS)):
+            fh.write(block.encode("ascii"))
 
 
 def write_sweep_csv(path, delta_q, t: int, rows) -> None:

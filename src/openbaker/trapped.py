@@ -351,9 +351,9 @@ def monte_carlo_area(
 
     Every uniform double from ``rng.random`` is k / 2^53 for an integer k,
     the top 53 bits of one raw word of the stream, so the orbits run on
-    those integers, drawn as the stream's raw words (``rng.integers``
-    over the full uint64 range returns each word as is, and is faster
-    than ``bit_generator.random_raw``): held as k 2^11 in
+    those integers, read straight from ``bit_generator.random_raw``
+    (``rng.integers`` over the full uint64 range returns the same words,
+    no faster, and raised the benchmark's peak RSS): held as k 2^11 in
     uint64, doubling mod 1 is a left shift that wraps mod 2^64, and the
     hole is the modular window OpeningSpec.window gives at den = 2^53,
     scaled by 2^11.  The only approximation relative to the exact areas
@@ -416,10 +416,10 @@ def monte_carlo_area(
             left -= k
         return x.size
 
-    rng = np.random.default_rng(seed)
+    bits = np.random.default_rng(seed).bit_generator
     count = 0
     for start in range(0, n_samples, _MC_CHUNK):
-        x = rng.integers(0, 2**64, size=min(_MC_CHUNK, n_samples - start), dtype=np.uint64)
+        x = bits.random_raw(min(_MC_CHUNK, n_samples - start))
         x &= clear
         count += survivors(x)
     p = count / n_samples

@@ -1,5 +1,6 @@
 """End-to-end command line behavior, run in process."""
 
+import argparse
 import concurrent.futures
 import hashlib
 import json
@@ -538,7 +539,10 @@ def test_cli_import_loads_no_test_dependency():
     src = str(Path(openbaker.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    probe = ("import sys, openbaker.cli; print(sorted(m for m in sys.modules "
+    # and the parser is built by main's first call, not at import
+    probe = ("import sys, openbaker.cli\n"
+             "assert openbaker.cli.build_parser.cache_info().currsize == 0\n"
+             "print(sorted(m for m in sys.modules "
              "if m.split('.')[0] in ('scipy', 'mpmath', 'hypothesis', 'concurrent')))")
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                             text=True, env=env, timeout=120, check=True)
@@ -995,6 +999,63 @@ def test_parser_defaults_are_parsed():
     assert args.fit_range == (5, 25) and str(args.fit_range) == "5:25"
     args = build_parser().parse_args(["weyl", "--inject", "power-law"])
     assert args.n == []
+
+
+def _defaults(parser: argparse.ArgumentParser) -> dict:
+    """Every option's default, by subcommand."""
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: {a.dest: sub.get_default(a.dest) for a in sub._actions}
+            for name, sub in commands.choices.items()}
+
+
+def test_main_reuses_one_parser():
+    assert build_parser() is build_parser()
+
+
+def test_text_defaults_are_typed_on_every_parse():
+    one, two = (build_parser().parse_args(["classical"]) for _ in range(2))
+    assert one.grid == two.grid and one.grid is not two.grid
+    assert one.dq == two.dq and one.dq is not two.dq
+
+
+def test_commands_leave_the_shared_defaults_as_built(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for argv in (
+            ["classical"],
+            ["spectrum", "--n", "16", "--qc", "0.3", "--dq", "0.1"],
+            ["stats", "cumulative", "--n", "16", "--qc", "0.3", "--dq", "0.1"],
+            ["stats", "histogram", "--n", "16", "--qc", "0.3", "--dq", "0.1"],
+            ["stats", "rescaled", "--n", "16", "--qc", "0.3", "--dq", "0.1"],
+            ["stats", "width", "--dq", "0.1", "--qc", "0.3", "--nmin", "16", "--nmax", "20"],
+            ["weyl", "--qc", "0.5", "--dq", "0.1", "--n", "8,12,16,32"],
+            ["weyl", "--inject", "power-law"]):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    defaults = _defaults(build_parser())
+    assert defaults == _defaults(build_parser.__wrapped__())
+    empty = [(name, dest) for name, options in defaults.items()
+             for dest, value in options.items() if isinstance(value, list)]
+    assert sorted(empty) == [("classical", "raster_qc"), ("classical", "series_qc"),
+                             ("stats", "n"), ("stats", "qc"), ("weyl", "n")]
+    assert all(defaults[name][dest] == [] for name, dest in empty)
+
+
+def test_a_parse_after_another_command_writes_the_same_bytes(tmp_path, capsys, monkeypatch):
+    width = ["stats", "width", "--dq", "0.2", "--qc", "0.3", "--nmin", "16", "--nmax", "20"]
+    files = []
+    for run_dir, before in (("after_spectrum", True), ("fresh_parser", False)):
+        (tmp_path / run_dir).mkdir()
+        monkeypatch.chdir(tmp_path / run_dir)
+        if before:
+            assert main(["spectrum", "--n", "16,18", "--qc", "0.3", "--dq", "0.2"]) == 0
+        else:
+            build_parser.cache_clear()
+        assert main(width) == 0
+        files.append({p.name: p.read_bytes() for p in Path("out").iterdir()
+                      if p.name.startswith("width_")})
+    capsys.readouterr()
+    assert sorted(files[0]) == ["width_dq0.2.csv", "width_dq0.2.csv.manifest.json"]
+    assert files[0] == files[1]
 
 
 @pytest.mark.parametrize(

@@ -293,8 +293,8 @@ def test_monte_carlo_starts_no_thread(monkeypatch):
 
 @pytest.mark.parametrize("seed", [0, 9, 20260825])
 def test_random_doubles_are_the_top_53_bits_of_the_raw_stream(seed):
-    # the sampler draws full-range uint64 integers, which are the raw words
-    # of the stream, and relies on rng.random's w >> 11
+    # the sampler reads random_raw and relies on rng.random's w >> 11;
+    # full-range uint64 integers are the same words
     m = 10_001
     doubles = np.random.default_rng(seed).random(m)
     raw = np.random.default_rng(seed).bit_generator.random_raw(m)
@@ -331,16 +331,20 @@ def test_monte_carlo_joins_its_threads_also_when_a_chunk_raises(monkeypatch):
 
     class Stream:
         def __init__(self, seed):
-            self.rng = default_rng(seed)
+            self.bits = default_rng(seed).bit_generator
             self.drawn = 0
 
-        def integers(self, *args, **kwargs):
+        def random_raw(self, m):
             self.drawn += 1
-            x = self.rng.integers(*args, **kwargs)
+            x = self.bits.random_raw(m)
             return x.view(Poisoned) if self.drawn == 3 else x
 
+    class Rng:
+        def __init__(self, seed):
+            self.bit_generator = Stream(seed)
+
     monkeypatch.setattr(trapped, "_MC_CHUNK", 2**10)
-    monkeypatch.setattr(np.random, "default_rng", Stream)
+    monkeypatch.setattr(np.random, "default_rng", Rng)
     with pytest.raises(RuntimeError, match="bad chunk"):
         monte_carlo_area(OpeningSpec(0.5, 0.1), 3, 10**5, seed=2)
     assert set(threading.enumerate()) == before
