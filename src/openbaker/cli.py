@@ -61,7 +61,8 @@ MAX_RESOLUTION = 2048
 MAX_RASTER_T = 20
 # cap on the sweep --t and the series --tmax: the partition recursion is
 # O(cells) per step, but its integers grow by a bit per step; at t = 1000
-# a 510-cell series takes about 0.1 s and a 101-point sweep about 2 s
+# a 510-cell series takes about 0.1 s and a 101-point sweep about 2 s (a
+# sweep runs per opening there: its common cells need den 2^t < 2^63)
 MAX_T = 1000
 
 

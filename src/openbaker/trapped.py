@@ -10,6 +10,13 @@ recursion, so the survivor areas A(t) come out as exact Fractions in
 O(cells) per step, and the escape rate is exact: gamma = ln 2 - ln rho
 for the spectral radius rho of the cell transition matrix.
 
+A q_c sweep shares one refinement instead: with den the lcm of 2 and
+every hole-edge denominator on the grid, the den equal cells
+[k/den, (k + 1)/den) refine every opening's partition, and cell k doubles
+onto cells 2k and 2k + 1 mod den.  When den <= MAX_CELLS and den 2^t <
+2^63, all openings advance as one int64 recursion on those cells, a
+block of rows at a time; any other grid runs the per-opening partitions.
+
 Rasters of the trapped set decide each pixel from the doubling orbit of
 its centre, an integer over a common denominator, tested against the
 hole as one modular window of those integers (OpeningSpec.window), the
@@ -58,8 +65,9 @@ _MC_PREFIX = 16
 # _stride_table fills its 2^_MC_PREFIX entries this many prefixes at a
 # time, so its uint64 and bool temporaries hold 32 KiB, not 512 KiB
 _MC_TABLE_SLICE = 2**12
-# image rasters are decided this many pixels at a time, and at least one
-# row: the int64 orbit integers of a block hold 512 KiB up to resolution 2^16
+# image rasters are decided this many pixels at a time, and q_c sweeps run
+# this many common cells at a time, at least one row either way: the int64
+# orbit integers or masses of a block hold 512 KiB up to 2^16 per row
 _RASTER_CELLS = 2**16
 
 
@@ -295,10 +303,13 @@ def escape_rate(
             f"survivor set of q_c={float(qc):g} delta_q={float(dq):g} vanished "
             f"inside the fit window {t_lo}:{t_hi}"
         )
-    ts = np.arange(t_lo, t_hi + 1)
+    # the line through the centred sums: np.polyfit's answer without its
+    # lstsq call
+    dt = np.arange(t_lo, t_hi + 1) - (t_lo + t_hi) / 2
     y = -series.log_areas()[t_lo : t_hi + 1]
-    slope, intercept = np.polyfit(ts, y, 1)
-    resid = y - (slope * ts + intercept)
+    dy = y - y.mean()
+    slope = dt @ dy / (dt @ dt)
+    resid = dy - slope * dt
     return EscapeRateFit(
         gamma=float(slope),
         d_info=2.0 - float(slope) / _LN2,
@@ -429,12 +440,65 @@ def monte_carlo_area(
 def qc_sweep(
     delta_q, qc_values: Sequence, t: int = 9
 ) -> list[tuple[Fraction, Fraction]]:
-    """Survivor area at fixed t for each hole center in qc_values."""
+    """Survivor area at fixed t for each hole center in qc_values.
+
+    With den the lcm of 2 and every hole-edge denominator on the grid,
+    the den equal cells [k/den, (k + 1)/den) refine every opening's
+    Markov partition, and when den <= MAX_CELLS and den 2^t < 2^63 all
+    openings run one int64 recursion on them (_common_cell_areas).  Any
+    other grid runs area_series per opening, with its results and its
+    exceptions.
+    """
+    try:
+        openings = [OpeningSpec(qc, delta_q) for qc in qc_values]
+    except ValueError:
+        openings = []  # the loop below raises what it meets first
+    den = 2
+    for opening in openings:
+        lo, hi = opening.edges()
+        den = math.lcm(den, lo.denominator, hi.denominator)
+        if den > MAX_CELLS:
+            break
+    if openings and t >= 0 and den <= MAX_CELLS and den << t < 2**63:
+        areas = _common_cell_areas(openings, den, t)
+        return [(o.q_c, a) for o, a in zip(openings, areas)]
     out = []
     for qc in qc_values:
         opening = OpeningSpec(qc, delta_q)
         out.append((opening.q_c, area_series(opening, t).areas[t]))
     return out
+
+
+def _common_cell_areas(
+    openings: Sequence[OpeningSpec], den: int, t: int
+) -> list[Fraction]:
+    """A(t) of each opening whose edges lie on the 1/den grid, den even.
+
+    Cell k lies wholly inside or outside each hole and doubles onto cells
+    2k and 2k + 1 mod den, so the survivor mass of cell k, in units of
+    1/(den 2^t), is m_t(k) = kept(k) (m_{t-1}(2k) + m_{t-1}(2k + 1)), with
+    m_0 = kept.  Cells k and k + den/2 read the same pair.  Every mass
+    and row sum is at most den 2^t, below 2^63.  Rows go _RASTER_CELLS
+    cells at a time, at least one row per block.
+    """
+    half = den // 2
+    cells = np.arange(den, dtype=np.int64)
+    rows = max(1, _RASTER_CELLS // den)
+    areas = []
+    for j in range(0, len(openings), rows):
+        windows = np.array([o.window(den) for o in openings[j : j + rows]])
+        # (k - low) mod den by one conditional add, as in _survives
+        d = cells - windows[:, :1]
+        np.add(d, den, out=d, where=d < 0)
+        kept = d >= windows[:, 1:]
+        mass = kept.astype(np.int64)
+        for _ in range(t):
+            pairs = mass[:, 0::2] + mass[:, 1::2]
+            mass[:, :half] = pairs
+            mass[:, half:] = pairs
+            mass *= kept
+        areas.extend(Fraction(int(m), den << t) for m in mass.sum(axis=1))
+    return areas
 
 
 def render_trapped_set(
