@@ -303,8 +303,8 @@ def escape_rate(
             f"survivor set of q_c={float(qc):g} delta_q={float(dq):g} vanished "
             f"inside the fit window {t_lo}:{t_hi}"
         )
-    # the line through the centred sums: np.polyfit's answer without its
-    # lstsq call
+    # the least-squares line from centred sums in closed form: np.polyfit's
+    # lstsq call raised the classical command's peak RSS
     dt = np.arange(t_lo, t_hi + 1) - (t_lo + t_hi) / 2
     y = -series.log_areas()[t_lo : t_hi + 1]
     dy = y - y.mean()
@@ -442,12 +442,11 @@ def qc_sweep(
 ) -> list[tuple[Fraction, Fraction]]:
     """Survivor area at fixed t for each hole center in qc_values.
 
-    With den the lcm of 2 and every hole-edge denominator on the grid,
-    the den equal cells [k/den, (k + 1)/den) refine every opening's
-    Markov partition, and when den <= MAX_CELLS and den 2^t < 2^63 all
-    openings run one int64 recursion on them (_common_cell_areas).  Any
-    other grid runs area_series per opening, with its results and its
-    exceptions.
+    A grid whose edges share a denominator den <= MAX_CELLS, with
+    den 2^t < 2^63, runs one recursion over the den common cells (see the
+    module docstring); near den = MAX_CELLS that costs about as much as
+    the per-opening partitions.  Any other grid runs area_series per
+    opening, with its results and its exceptions.
     """
     try:
         openings = [OpeningSpec(qc, delta_q) for qc in qc_values]

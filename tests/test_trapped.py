@@ -139,6 +139,22 @@ def test_escape_rate_values():
     assert abs(fit5.gamma - 0.16491) < 5e-5
 
 
+@pytest.mark.parametrize("fit_range", [(5, 25), (0, 1), (2, 17)])
+@pytest.mark.parametrize("qc", ["0.3", "0.5"])
+def test_escape_rate_matches_polyfit(qc, fit_range):
+    # criterion 01's openings, against a least-squares line from np.polyfit
+    series = area_series(OpeningSpec(qc, "0.1"), 25)
+    fit = escape_rate(series, fit_range)
+    t_lo, t_hi = fit_range
+    ts = np.arange(t_lo, t_hi + 1)
+    y = -series.log_areas()[t_lo : t_hi + 1]
+    slope, intercept = np.polyfit(ts, y, 1)
+    rms = np.sqrt(np.mean((y - (slope * ts + intercept)) ** 2))
+    assert fit.gamma == pytest.approx(slope, abs=1e-12)
+    assert fit.d_info == pytest.approx(2 - slope / math.log(2), abs=1e-12)
+    assert fit.residual_rms == pytest.approx(rms, abs=1e-12)
+
+
 def _recursion_areas(opening, t_max):
     return [su.measure for _, su in zip(range(t_max + 1), survivor_sets(opening))]
 
@@ -494,6 +510,123 @@ def test_qc_sweep_grid():
     assert [q for q, _ in rows] == grid
     assert rows[10][1] == Fraction(291, 1280)
     assert all(0 <= a <= 1 for _, a in rows)
+
+
+def _per_opening_sweep(delta_q, grid, t):
+    """The sweep as one area_series per opening, exceptions included."""
+    try:
+        return [(o.q_c, area_series(o, t).areas[t])
+                for o in (OpeningSpec(qc, delta_q) for qc in grid)]
+    except (ValueError, ResolutionExhausted) as e:
+        return type(e), str(e)
+
+
+def _sweep(monkeypatch, delta_q, grid, t):
+    """qc_sweep's rows (or exception), and whether the common cells ran."""
+    ran = []
+    common = trapped._common_cell_areas
+
+    def spy(openings, den, t):
+        ran.append(den)
+        return common(openings, den, t)
+
+    monkeypatch.setattr(trapped, "_common_cell_areas", spy)
+    try:
+        rows = qc_sweep(delta_q, grid, t)
+    except (ValueError, ResolutionExhausted) as e:
+        rows = type(e), str(e)
+    return rows, bool(ran)
+
+
+DEFAULT_GRID = [Fraction(k, 200) for k in range(101)]  # 0:0.5:0.005
+WRAPPING_GRID = [Fraction(0), Fraction(1, 100), Fraction(99, 100)]
+
+
+@pytest.mark.parametrize("t", [0, 1, 9, 40])
+@pytest.mark.parametrize(
+    "dq, grid",
+    [("0.05", DEFAULT_GRID), ("0.1", DEFAULT_GRID), ("0.2", DEFAULT_GRID),
+     ("0.1", WRAPPING_GRID), ("0.3", WRAPPING_GRID), (0, DEFAULT_GRID), (1, DEFAULT_GRID),
+     # den = 4096 exactly, the largest common grid
+     (Fraction(1, 2048), [Fraction(k, 4096) for k in range(0, 4096, 97)])],
+)
+def test_qc_sweep_common_cells_match_area_series(monkeypatch, dq, grid, t):
+    rows, common = _sweep(monkeypatch, dq, grid, t)
+    assert common
+    assert rows == _per_opening_sweep(dq, grid, t)
+
+
+@pytest.mark.parametrize(
+    "dq, grid, t, common",
+    [
+        # den = 4098, 2 * 4999 and 2 * 4097 pass MAX_CELLS
+        (Fraction(1, 2049), [Fraction(1, 2)], 9, False),
+        ("0.1", [Fraction(k, 4999) for k in range(0, 4999, 250)], 9, False),
+        ("0.1", [Fraction(1, 2), Fraction(1, 4097)], 1, False),
+        # den = 200: 200 * 2^55 < 2^63 <= 200 * 2^56
+        ("0.1", DEFAULT_GRID, 55, True),
+        ("0.1", DEFAULT_GRID, 56, False),
+        ("0.05", WRAPPING_GRID, 61, False),
+    ],
+)
+def test_qc_sweep_paths_at_their_limits_match_area_series(monkeypatch, dq, grid, t, common):
+    rows, ran_common = _sweep(monkeypatch, dq, grid, t)
+    assert ran_common == common
+    assert rows == _per_opening_sweep(dq, grid, t)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(decimals, min_size=1, max_size=8), widths, st.integers(0, 30))
+def test_qc_sweep_on_decimal_grids_matches_area_series(grid, dq, t):
+    # edges with three decimals lie on a common grid of den <= 2000
+    assert qc_sweep(dq, grid, t) == _per_opening_sweep(dq, grid, t)
+
+
+@pytest.mark.parametrize(
+    "dq, grid, t",
+    [
+        ("0.1", [], 9),
+        ("0.1", [], -1),
+        ("0.1", DEFAULT_GRID, -1),
+        ("0.1", [Fraction(1, 4), Fraction(3, 2)], 9),
+        ("1.5", DEFAULT_GRID, 9),
+        (Fraction(1, 5**9), [Fraction(1, 2)], 9),
+        # the per-opening loop meets the cell cap before the bad q_c
+        (Fraction(1, 5**9), [Fraction(1, 2), Fraction(3, 2)], 9),
+        (Fraction(1, 5**9), [Fraction(3, 2), Fraction(1, 2)], 9),
+    ],
+)
+def test_qc_sweep_exceptions_match_area_series(monkeypatch, dq, grid, t):
+    rows, common = _sweep(monkeypatch, dq, grid, t)
+    assert not common
+    assert rows == _per_opening_sweep(dq, grid, t)
+    if grid:
+        assert isinstance(rows, tuple)  # (exception type, message)
+    else:
+        assert rows == []
+
+
+@pytest.mark.parametrize("cells", [1, 200, 3 * 200, 10**6])
+def test_qc_sweep_row_blocks_match_area_series(monkeypatch, cells):
+    # a budget below one row still runs a whole row per block
+    monkeypatch.setattr(trapped, "_RASTER_CELLS", cells)
+    assert qc_sweep("0.1", DEFAULT_GRID, 9) == _per_opening_sweep("0.1", DEFAULT_GRID, 9)
+
+
+def test_qc_sweep_memory_stays_within_one_block_of_cells():
+    # beside the rows it returns, the sweep holds its openings (about 100
+    # bytes each) and one block of _RASTER_CELLS cells with a few int64
+    # copies; the masses of all 20,000 x 200 cells at once would hold 32 MB
+    grid = [Fraction(k, 200) for k in range(200)] * 100
+    block_bytes = 8 * trapped._RASTER_CELLS
+    tracemalloc.start()
+    try:
+        rows = qc_sweep(Fraction(1, 10), grid, 9)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 20_000 and rows[100][1] == Fraction(291, 1280)
+    assert peak - held <= 8 * block_bytes
 
 
 def test_render_modes():
