@@ -218,15 +218,22 @@ def cmd_spectrum(args, out: Path, cache: SpectrumCache) -> None:
 def cmd_stats(args, out: Path, cache: SpectrumCache) -> None:
     dq = args.dq
     tag = f"dq{_num(dq)}"
-    if args.mode == "width":
-        specs, failures = [], []
-        for qc in args.qc:
-            for d in range(args.nmin, args.nmax + 1, args.step):
-                try:
-                    specs.append(PropagatorSpec(d, OpeningSpec(qc, dq)))
-                except ValueError as exc:
-                    failures.append(WidthFailure(dim=d, q_c=qc, error=str(exc)))
-        solved = _solve_many(specs, cache, args.jobs)
+    gammas = dict.fromkeys(args.qc, args.gamma_cl)
+    if args.mode == "rescaled" and args.gamma_cl is None:
+        # before any solve: a hole no orbit survives fails here
+        gammas = {qc: exact_escape(OpeningSpec(qc, dq)).gamma for qc in args.qc}
+    width = args.mode == "width"
+    dims = range(args.nmin, args.nmax + 1, args.step) if width else args.n
+    # _validate built every other mode's specs, so only a width point fails here
+    specs, failures = [], []
+    for qc in args.qc:
+        for d in dims:
+            try:
+                specs.append(PropagatorSpec(d, OpeningSpec(qc, dq)))
+            except ValueError as exc:
+                failures.append(WidthFailure(dim=d, q_c=qc, error=str(exc)))
+    solved = _solve_many(specs, cache, args.jobs)
+    if width:
         points, empty = width_sweep(
             (solved[spec] for spec in specs), args.bin, args.tail_lo
         )
@@ -237,14 +244,6 @@ def cmd_stats(args, out: Path, cache: SpectrumCache) -> None:
         csvio.write_width_csv(path, points)
         _emit(path, args)
         return
-    gammas = dict.fromkeys(args.qc, args.gamma_cl)
-    if args.mode == "rescaled" and args.gamma_cl is None:
-        # before any solve: a hole no orbit survives fails here
-        gammas = {qc: exact_escape(OpeningSpec(qc, dq)).gamma for qc in args.qc}
-    specs = [
-        PropagatorSpec(dim, OpeningSpec(qc, dq)) for qc in args.qc for dim in args.n
-    ]
-    solved = _solve_many(specs, cache, args.jobs)
     for spec in specs:
         rs, qc = solved[spec], spec.opening.q_c
         stem = f"N{spec.dim}_qc{_num(qc)}_{tag}"

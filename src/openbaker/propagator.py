@@ -110,16 +110,14 @@ class PropagatorSpec:
         return keep[::-1] if keep[::-1].tobytes() < keep.tobytes() else keep
 
 
-def open_propagator(spec: PropagatorSpec, keep: np.ndarray | None = None) -> np.ndarray:
+def open_propagator(spec: PropagatorSpec) -> np.ndarray:
     """Closed propagator with absorbed columns zeroed, column-major.
 
     Zeroing columns equals right-multiplying by the projector, with no
-    floating-point product involved.  keep, spec's kept mask by default,
-    may be its mirror image: R B R = B bit for bit, so that gives R A R
-    without reversing A.
+    floating-point product involved.
     """
     b = baker_propagator(spec.dim)
-    b[:, ~(spec.kept_mask() if keep is None else keep)] = 0
+    b[:, ~spec.kept_mask()] = 0
     return b
 
 
@@ -153,8 +151,8 @@ def kept_block(dim: int, keep: np.ndarray) -> np.ndarray:
     With the kept sites K first, A = B P is [[B_KK, 0], [B_AK, 0]], so its
     spectrum is that of B_KK plus dim - |K| exact zeros.  keep may be any
     mask, a mirror image included.  Column k >= dim/2 is column k - dim/2
-    times i (-1)^j, the product open_propagator takes, so the entries are
-    those of its kept slice bit for bit.
+    times i (-1)^j, the product baker_propagator takes, so the entries are
+    those of B's kept slice bit for bit.
     """
     h = dim // 2
     kept = np.flatnonzero(keep)

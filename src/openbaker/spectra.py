@@ -269,19 +269,20 @@ def resonance_sets(specs, jobs: int = 1) -> Iterator[ResonanceSet]:
     queue = [(i, k, size, build) for i in sorted(range(len(specs)), key=lambda i: -totals[i])
              for k, (size, build) in enumerate(blocks[i])]
     parts = [[None] * len(spec_blocks) for spec_blocks in blocks]
-    running, ready, alive = {}, [], 0
+    running, alive = {}, 0
     with _one_blas_thread():
         pool = ThreadPoolExecutor(max_workers=cores)
         try:
-            while queue or running or ready:
-                if running:  # collect what finished, waiting only if nothing is ready
-                    done, _ = wait(running, 0 if ready else None, FIRST_COMPLETED)
+            while queue or running:
+                finished = []
+                if running:  # wait once, then record every finished block
+                    done, _ = wait(running, return_when=FIRST_COMPLETED)
                     for future in done:
                         i, k, size, _ = running.pop(future)
                         alive -= size
                         parts[i][k] = future.result()
                         if all(part is not None for part in parts[i]):
-                            ready.append(i)
+                            finished.append(i)
                 while len(running) < cores:  # build what fits for the free workers
                     block = next((b for b in queue if alive + b[2] <= budget), None)
                     if block is None:
@@ -289,8 +290,7 @@ def resonance_sets(specs, jobs: int = 1) -> Iterator[ResonanceSet]:
                     queue.remove(block)
                     alive += block[2]
                     running[pool.submit(eigenvalues, block[3](), True)] = block
-                if ready:
-                    i = ready.pop(0)
+                for i in finished:
                     zeros = np.zeros(specs[i].dim - sum(part.size for part in parts[i]))
                     w = sort_spectrum(np.concatenate(parts[i] + [zeros]))
                     w.setflags(write=False)

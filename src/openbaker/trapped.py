@@ -16,6 +16,8 @@ every hole-edge denominator on the grid, the den equal cells
 onto cells 2k and 2k + 1 mod den.  When den <= MAX_CELLS and den 2^t <
 2^63, all openings advance as one int64 recursion on those cells, a
 block of rows at a time; any other grid runs the per-opening partitions.
+Either way every opening of the grid is built first, so a bad centre
+raises before any area is computed.
 
 Rasters of the trapped set decide each pixel from the doubling orbit of
 its centre, an integer over a common denominator, tested against the
@@ -446,12 +448,10 @@ def qc_sweep(
     den 2^t < 2^63, runs one recursion over the den common cells (see the
     module docstring); near den = MAX_CELLS that costs about as much as
     the per-opening partitions.  Any other grid runs area_series per
-    opening, with its results and its exceptions.
+    opening, with its results and its exceptions.  Every opening is built
+    first, so a bad centre raises before any area is computed.
     """
-    try:
-        openings = [OpeningSpec(qc, delta_q) for qc in qc_values]
-    except ValueError:
-        openings = []  # the loop below raises what it meets first
+    openings = [OpeningSpec(qc, delta_q) for qc in qc_values]
     den = 2
     for opening in openings:
         lo, hi = opening.edges()
@@ -461,11 +461,7 @@ def qc_sweep(
     if openings and t >= 0 and den <= MAX_CELLS and den << t < 2**63:
         areas = _common_cell_areas(openings, den, t)
         return [(o.q_c, a) for o, a in zip(openings, areas)]
-    out = []
-    for qc in qc_values:
-        opening = OpeningSpec(qc, delta_q)
-        out.append((opening.q_c, area_series(opening, t).areas[t]))
-    return out
+    return [(o.q_c, area_series(o, t).areas[t]) for o in openings]
 
 
 def _common_cell_areas(

@@ -1,7 +1,8 @@
 """Scalar and floating-point reference implementations for the tests.
 
 Point-by-point orbits of the baker map, a Monte Carlo on float orbits,
-the survivor sets as exact interval unions, the Fourier kernel G_n and a
+the survivor sets as exact interval unions, the growth rate of the
+binary strings that avoid a word, the Fourier kernel G_n and a
 characteristic-polynomial spectrum.  Each is the plain definition, with
 none of the library's shortcuts, so the tests can hold the library to it.
 Two small readers of library objects, the absorbed-site count and the
@@ -193,6 +194,32 @@ def peak_location(rh: RescaledHistogram) -> float:
     if rh.density.size == 0 or rh.density.max() <= 0:
         raise ValueError("histogram has no occupied bins")
     return float(rh.midpoints[int(np.argmax(rh.density))])
+
+
+def dyadic_rho(word: str, dps: int = 40) -> float:
+    """Growth rate of the binary strings that avoid word as a factor.
+
+    An orbit of q -> 2q mod 1 avoids the cylinder of word, the hole
+    [a/2^k, (a+1)/2^k) for word = a in k binary digits, while the binary
+    digits of q avoid word, so this is the rho of exact_escape.  The
+    strings of each length that avoid word have the generating function
+    c(z) / (z^k + (1 - 2z) c(z)), c the autocorrelation polynomial of word
+    (Guibas & Odlyzko, J. Combin. Theory A 30, 1981): the coefficient of
+    z^j is 1 when word shifted by j overlaps itself.  rho is one over the
+    smallest modulus among the denominator's roots, found at elevated
+    precision so that repeated roots, such as (1 - z)^2 for 01, stay exact
+    to far below double precision.
+    """
+    k = len(word)
+    coeffs = [0] * (k + 1)  # ascending powers of z
+    coeffs[k] = 1
+    for j in range(k):
+        if word[j:] == word[: k - j]:
+            coeffs[j] += 1
+            coeffs[j + 1] -= 2
+    with mp.workdps(dps):
+        roots = mp.polyroots(coeffs[::-1], maxsteps=500, extraprec=120)
+        return float(1 / min(abs(r) for r in roots))
 
 
 def _char_poly_coeffs(a, n: int):

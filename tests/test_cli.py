@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import openbaker
-from openbaker import csvio, spectra
+from openbaker import cli, csvio, spectra
 from openbaker.cache import SpectrumCache
 from openbaker.classical import OpeningSpec
 from openbaker.cli import (
@@ -31,7 +31,7 @@ from openbaker.cli import (
 )
 from openbaker.propagator import PropagatorSpec
 from openbaker.spectra import MAX_EIGEN_DIM, EigensolverError, resonance_set
-from openbaker.stats import MAX_BINS, rescaled_decay_histogram
+from openbaker.stats import MAX_BINS, WeylDataPoint, rescaled_decay_histogram
 from openbaker.trapped import exact_escape
 
 
@@ -624,6 +624,18 @@ def test_weyl_selftest(tmp_path, capsys):
     assert "self-test" in out
     assert (tmp_path / "weyl_synthetic.csv").exists()
     assert (tmp_path / "weyl_fit_synthetic.txt").exists()
+
+
+def test_weyl_selftest_that_misses_its_target_exits_2(tmp_path, capsys, monkeypatch):
+    # counts 3 * 16^k against dims 16^k: slope 1, not the 4/5 the self-test wants
+    points = [WeylDataPoint(dim=16**k, count=3 * 16**k) for k in range(1, 5)]
+    monkeypatch.setattr(cli, "synthetic_power_law_points", lambda: points)
+    code, out, err = run(["weyl", "--inject", "power-law", "--out", str(tmp_path)], capsys)
+    assert code == 2
+    (line,) = err.splitlines()
+    head, recovered = line.removesuffix(", wanted 0.8").split(" recovered ")
+    assert head == "error: self-test failed:" and float(recovered) == pytest.approx(1.0)
+    assert "self-test" not in out
 
 
 def test_weyl_selftest_makes_no_cache_directory(tmp_path, capsys):

@@ -71,6 +71,16 @@ def test_read_spectrum_rejects_other_headers(tmp_path):
         csvio.read_spectrum_csv(path)
 
 
+def test_read_spectrum_rejects_rows_without_five_fields(tmp_path):
+    path = tmp_path / "x.csv"
+    csvio.write_spectrum_csv(path, np.array([0.5 + 0.25j, 0.1j]))
+    good = path.read_text()
+    for row in ("0,0.5,0.25,0.5590169943749474\n", "0,0.5,0.25,0.56,2.3,9\n", "\n"):
+        path.write_text(good + row)
+        with pytest.raises(ValueError, match="malformed spectrum row"):
+            csvio.read_spectrum_csv(path)
+
+
 def test_weyl_csv_schema(tmp_path):
     path = tmp_path / "weyl.csv"
     csvio.write_weyl_csv(path, synthetic_power_law_points()[:2])

@@ -175,6 +175,14 @@ def test_parity_blocks_are_slices_of_the_opened_matrix(dim, qc, dq):
         assert block.tobytes(order="F") == kept_slice(expected, keep[: dim // 2])
 
 
+def zeroed_columns(dim, keep):
+    """B with the columns outside keep zeroed; keep may be a mirror image of a
+    spec's mask, since R B R = B bit for bit."""
+    b = baker_propagator(dim)
+    b[:, ~keep] = 0
+    return b
+
+
 def zeroed_parity_block(dim, keep, sign):
     """The dim/2 x dim/2 parity block with its absorbed columns zeroed, built
     on every site as before the blocks were restricted to the kept ones."""
@@ -200,9 +208,9 @@ def test_kept_builders_are_kept_slices(dim):
         for keep in (spec.kept_mask(), spec.canonical_mask()):
             block = kept_block(dim, keep)
             assert block.shape == (keep.sum(),) * 2 and block.flags.f_contiguous
-            assert block.tobytes(order="F") == kept_slice(open_propagator(spec, keep), keep)
+            assert block.tobytes(order="F") == kept_slice(zeroed_columns(dim, keep), keep)
             if (keep == keep[::-1]).all():
-                even, odd = sliced_blocks(open_propagator(spec, keep))
+                even, odd = sliced_blocks(zeroed_columns(dim, keep))
                 for sign, sliced in ((1, even), (-1, odd)):
                     block = parity_block(dim, keep, sign)
                     assert block.tobytes(order="F") == kept_slice(sliced, keep[: dim // 2])

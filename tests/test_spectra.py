@@ -204,6 +204,18 @@ def test_lapack_call_maps_info_to_errors(monkeypatch):
     assert blas.sets == []
 
 
+def test_numpy_fallback_maps_its_error_to_eigensolver_error(monkeypatch):
+    # without OpenBLAS the solve is np.linalg.eigvals, whose failure to
+    # converge is a LinAlgError (numpy's message)
+    def no_convergence(m):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(spectra, "_openblas", lambda: None)
+    monkeypatch.setattr(np.linalg, "eigvals", no_convergence)
+    with pytest.raises(EigensolverError, match="failed on a 4x4 matrix: Eigenvalues did not"):
+        eigenvalues(np.eye(4))
+
+
 def test_sort_canonical_order():
     w = sort_spectrum(np.array([0.5 + 0j, 1.0 + 0j, -1j]))
     assert np.allclose(w, np.array([-1j, 1.0, 0.5]))

@@ -26,6 +26,7 @@ from oracles import (
     IntervalUnion,
     PhasePoint,
     baker_inverse,
+    dyadic_rho,
     monte_carlo_area_float,
     survival_time,
     survivor_set,
@@ -213,6 +214,17 @@ def test_exact_escape_special_values():
         assert closed.rho == 2 and closed.gamma == 0
     with pytest.raises(ValueError, match="no orbit avoids the hole"):
         exact_escape(OpeningSpec(0.5, 1))
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_exact_escape_matches_the_word_avoidance_oracle(k):
+    # the hole [a/2^k, (a+1)/2^k) is the cylinder of a's k binary digits, so
+    # an orbit survives while its digits avoid that word; among the words
+    # are 0 (rho = 1) and 01, whose repeated root (1 - z)^2 gives rho = 1
+    for a in range(2**k):
+        opening = OpeningSpec(Fraction(2 * a + 1, 2 ** (k + 1)), Fraction(1, 2**k))
+        expected = dyadic_rho(format(a, f"0{k}b"))
+        assert exact_escape(opening).rho == pytest.approx(expected, rel=1e-12, abs=0), a
 
 
 @pytest.mark.parametrize(
@@ -513,10 +525,14 @@ def test_qc_sweep_grid():
 
 
 def _per_opening_sweep(delta_q, grid, t):
-    """The sweep as one area_series per opening, exceptions included."""
+    """The sweep as one area_series per opening, exceptions included.
+
+    Every opening is built before the first area, so a bad centre raises
+    ahead of any area_series error.
+    """
     try:
-        return [(o.q_c, area_series(o, t).areas[t])
-                for o in (OpeningSpec(qc, delta_q) for qc in grid)]
+        openings = [OpeningSpec(qc, delta_q) for qc in grid]
+        return [(o.q_c, area_series(o, t).areas[t]) for o in openings]
     except (ValueError, ResolutionExhausted) as e:
         return type(e), str(e)
 
@@ -591,9 +607,11 @@ def test_qc_sweep_on_decimal_grids_matches_area_series(grid, dq, t):
         ("0.1", [Fraction(1, 4), Fraction(3, 2)], 9),
         ("1.5", DEFAULT_GRID, 9),
         (Fraction(1, 5**9), [Fraction(1, 2)], 9),
-        # the per-opening loop meets the cell cap before the bad q_c
+        # a bad q_c raises before the cell cap of an earlier centre, in either order
         (Fraction(1, 5**9), [Fraction(1, 2), Fraction(3, 2)], 9),
         (Fraction(1, 5**9), [Fraction(3, 2), Fraction(1, 2)], 9),
+        # and before a negative t
+        ("0.1", [Fraction(1, 4), Fraction(3, 2)], -1),
     ],
 )
 def test_qc_sweep_exceptions_match_area_series(monkeypatch, dq, grid, t):
@@ -604,6 +622,8 @@ def test_qc_sweep_exceptions_match_area_series(monkeypatch, dq, grid, t):
         assert isinstance(rows, tuple)  # (exception type, message)
     else:
         assert rows == []
+    if any(not 0 <= qc < 1 for qc in grid):
+        assert rows == (ValueError, "q_c must lie in [0, 1), got 3/2")
 
 
 @pytest.mark.parametrize("cells", [1, 200, 3 * 200, 10**6])
@@ -650,6 +670,8 @@ def test_render_modes():
     assert abs(pic.mean() - target) <= perimeter / res
     # forward image mixes p, so columns are no longer constant
     assert not (pic == pic[0]).all()
+    with pytest.raises(ValueError, match="t must be nonnegative"):
+        render_trapped_set(o, -1)
     with pytest.raises(ValueError):
         render_trapped_set(o, t, resolution=0)
     with pytest.raises(ValueError):
