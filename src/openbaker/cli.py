@@ -138,8 +138,18 @@ def _pair(text: str) -> tuple[Fraction, Fraction]:
 
 
 def _num(x) -> str:
-    """Compact decimal for filenames."""
+    """Compact decimal for filenames: six significant digits, as %g gives."""
     return format(float(x), "g")
+
+
+def _distinct_names(parser, flag: str, values) -> None:
+    """Exit if two values of one list option give the same file-name text."""
+    seen = {}
+    for value in values:
+        other = seen.setdefault(_num(value), value)
+        if other != value:
+            parser.error(f"{flag} values {float(other)!r} and {float(value)!r} both "
+                         f"name files {_num(value)}; their outputs would collide")
 
 
 def _params(args: argparse.Namespace) -> dict:
@@ -424,6 +434,9 @@ def _validate(args, parser: argparse.ArgumentParser) -> None:
     if dims and max(dims) > MAX_EIGEN_DIM:
         parser.error(f"--n {max(dims)} exceeds the solver cap {MAX_EIGEN_DIM}")
     if args.command == "classical":
+        for flag, values in (("--dq", args.dq), ("--series-qc", args.series_qc),
+                             ("--raster-qc", args.raster_qc)):
+            _distinct_names(parser, flag, values)
         # the grid is monotone, so its two ends bound every centre
         centres = [args.grid[0], args.grid[-1], *args.series_qc, *args.raster_qc]
         _check_specs(parser, centres, args.dq)
@@ -447,6 +460,7 @@ def _validate(args, parser: argparse.ArgumentParser) -> None:
             parser.error(f"stats {args.mode} requires --n")
         if not args.qc:
             parser.error(f"stats {args.mode} requires --qc")
+        _distinct_names(parser, "--qc", args.qc)
         # stats width reports odd dimensions as per-point failures
         _check_specs(parser, args.qc, [args.dq], args.n if needs_n else ())
         if args.mode == "width":

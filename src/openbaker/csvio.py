@@ -70,17 +70,16 @@ def write_spectrum_csv(path, values: np.ndarray) -> None:
     """Eigenvalues in their stored order, one row per mode.
 
     17 significant digits identify every double, so read_spectrum_csv
-    returns exactly the values written.
+    returns exactly the values written.  The columns become Python floats
+    _WRITE_ROWS rows at a time, so no whole-spectrum float list is alive.
     """
     moduli = np.abs(values)
     with np.errstate(divide="ignore"):
         gammas = -2.0 * np.log(moduli)
-    rows = zip(
-        range(values.size),
-        values.real.tolist(),
-        values.imag.tolist(),
-        moduli.tolist(),
-        gammas.tolist(),
+    columns = (values.real, values.imag, moduli, gammas)
+    rows = itertools.chain.from_iterable(
+        zip(itertools.count(start), *(c[start : start + _WRITE_ROWS].tolist() for c in columns))
+        for start in range(0, values.size, _WRITE_ROWS)
     )
     _write_text(
         path, SPECTRUM_HEADER, ("%d,%.17g,%.17g,%.17g,%.17g\n" % row for row in rows)

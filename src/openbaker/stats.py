@@ -213,6 +213,25 @@ def weyl_count(rs: ResonanceSet, nu_cut: float = DEFAULT_NU_CUT) -> WeylDataPoin
     return WeylDataPoint(dim=rs.dim, count=int((rs.moduli > nu_cut).sum()))
 
 
+def line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    """Least-squares line y = slope x + intercept: (slope, intercept, rms residual).
+
+    Closed form from the centred sums, with no LAPACK call: a least-squares
+    solver loads LAPACK code that raises a warm run's peak RSS, and its
+    bits follow the BLAS thread count.
+    """
+    x_mean, y_mean = x.mean(), y.mean()
+    dx = x - x_mean
+    dy = y - y_mean
+    slope = dx @ dy / (dx @ dx)
+    resid = dy - slope * dx
+    return (
+        float(slope),
+        float(y_mean - slope * x_mean),
+        float(np.sqrt(np.mean(resid**2))),
+    )
+
+
 @dataclass(frozen=True)
 class WeylFit:
     """Power-law fit of long-lived counts against dimension."""
@@ -241,15 +260,7 @@ def weyl_fit(points: Iterable[WeylDataPoint]) -> WeylFit:
         raise ValueError("points must span at least a factor 4 in dimension")
     if (counts <= 0).any():
         raise ValueError("all counts must be positive for a log-log fit")
-    x = np.log10(dims)
-    y = np.log10(counts)
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    return WeylFit(
-        slope=float(slope),
-        intercept_log10=float(intercept),
-        rms_residual=float(np.sqrt(np.mean(resid**2))),
-    )
+    return WeylFit(*line_fit(np.log10(dims), np.log10(counts)))
 
 
 def synthetic_power_law_points() -> list[WeylDataPoint]:

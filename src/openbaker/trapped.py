@@ -38,6 +38,7 @@ import numpy as np
 
 from .classical import OpeningSpec
 from .spectra import _one_blas_thread
+from .stats import line_fit
 
 DEFAULT_FIT_RANGE = (5, 25)
 # Partitions are refused above this many cells, during the orbit walk.
@@ -305,18 +306,9 @@ def escape_rate(
             f"survivor set of q_c={float(qc):g} delta_q={float(dq):g} vanished "
             f"inside the fit window {t_lo}:{t_hi}"
         )
-    # the least-squares line from centred sums in closed form: np.polyfit's
-    # lstsq call raised the classical command's peak RSS
-    dt = np.arange(t_lo, t_hi + 1) - (t_lo + t_hi) / 2
-    y = -series.log_areas()[t_lo : t_hi + 1]
-    dy = y - y.mean()
-    slope = dt @ dy / (dt @ dt)
-    resid = dy - slope * dt
-    return EscapeRateFit(
-        gamma=float(slope),
-        d_info=2.0 - float(slope) / _LN2,
-        residual_rms=float(np.sqrt(np.mean(resid**2))),
-    )
+    ts = np.arange(t_lo, t_hi + 1, dtype=float)
+    slope, _, rms = line_fit(ts, -series.log_areas()[t_lo : t_hi + 1])
+    return EscapeRateFit(gamma=slope, d_info=2.0 - slope / _LN2, residual_rms=rms)
 
 
 def _stride_table(low: int, width: int) -> np.ndarray:

@@ -19,7 +19,7 @@ import conftest
 from openbaker import cli
 from openbaker.classical import OpeningSpec
 from openbaker.propagator import PropagatorSpec, baker_propagator, open_propagator, open_trace
-from openbaker.spectra import eigenvalues, resonance_set
+from openbaker.spectra import eigenvalues, resonance_set, resonance_sets
 from openbaker.stats import (
     half_height_width,
     rescaled_decay_histogram,
@@ -51,6 +51,18 @@ def classical_fit(qc: str, dq: str):
 
 def spectrum(dim: int, qc: str, dq: str):
     return resonance_set(PropagatorSpec(dim, OpeningSpec(qc, dq)))
+
+
+def spectra(keys) -> dict:
+    """{(dim, qc, dq): ResonanceSet} for the keys, solved in one resonance_sets call.
+
+    At jobs=2 two blocks of the largest size share the cores, where jobs=1
+    admits one such block at a time; the bits do not depend on jobs.
+    """
+    keys = list(keys)
+    specs = [PropagatorSpec(dim, OpeningSpec(qc, dq)) for dim, qc, dq in keys]
+    solved = {rs.spec: rs for rs in resonance_sets(specs, jobs=2)}
+    return {key: solved[spec] for key, spec in zip(keys, specs)}
 
 
 def multiset_distance(a, b) -> float:
@@ -274,10 +286,11 @@ def test_criterion_07_fractal_weyl_law():
         ("0.5", "0.2", "exact 0"),
     ]
     references = {(qc, dq): _weyl_reference(qc, dq, ref) for qc, dq, ref in cases}
+    solved = spectra((dim, qc, dq) for qc, dq, _ in cases for dim in WEYL_DIMS)
     details = []
     ok = True
     for qc, dq, _ in cases:
-        points = [weyl_count(spectrum(dim, qc, dq)) for dim in WEYL_DIMS]
+        points = [weyl_count(solved[dim, qc, dq]) for dim in WEYL_DIMS]
         fit = weyl_fit(points)
         reference, source = references[qc, dq]
         dev = fit.slope - reference
@@ -290,22 +303,28 @@ def test_criterion_07_fractal_weyl_law():
     record(7, ok, "; ".join(details))
 
 
-def _sigma(dim: int, qc: str) -> float:
-    return half_height_width(tail_histogram(spectrum(dim, qc, "0.1")))
+def _sigma(rs) -> float:
+    return half_height_width(tail_histogram(rs))
 
 
 def test_criterion_08_width_contrast():
     # 20 even dims in [500, 1200]; step 36 avoids the anomalies 602, 1782
     dims = list(range(500, 1200, 36))
-    med3 = median([_sigma(dim, "0.3") for dim in dims])
-    med5 = median([_sigma(dim, "0.5") for dim in dims])
+    neighborhoods = {602: True, 1782: False}  # center: whether it should exceed
+    solved = spectra(
+        [(dim, qc, "0.1") for qc in ("0.3", "0.5") for dim in dims]
+        + [(dim, "0.5", "0.1") for center in neighborhoods
+           for dim in range(center - 4, center + 5, 2)]
+    )
+    med3 = median([_sigma(solved[dim, "0.3", "0.1"]) for dim in dims])
+    med5 = median([_sigma(solved[dim, "0.5", "0.1"]) for dim in dims])
     ratio = med5 / med3
     ok_ratio = 1.1 <= ratio <= 2.0
     parts = [f"median ratio {ratio:.2f} in [1.1,2.0]: {ok_ratio}"]
     ok = ok_ratio
-    for center, should_exceed in ((602, True), (1782, False)):
+    for center, should_exceed in neighborhoods.items():
         sigmas = {
-            dim: _sigma(dim, "0.5")
+            dim: _sigma(solved[dim, "0.5", "0.1"])
             for dim in range(center - 4, center + 5, 2)
         }
         local = median(sigmas.values())

@@ -911,6 +911,48 @@ def test_bad_spectral_inputs_fail_before_solving(
 @pytest.mark.parametrize(
     "argv, message",
     [
+        (["stats", "cumulative", "--n", "16", "--qc", "0.1234567,0.1234568", "--dq", "0.1"],
+         "--qc values 0.1234567 and 0.1234568 both name files 0.123457"),
+        (["stats", "width", "--qc", "0.5,0.3,0.50000001", "--dq", "0.1",
+          "--nmin", "16", "--nmax", "20"],
+         "--qc values 0.5 and 0.50000001 both name files 0.5"),
+        (["classical", "--dq", "0.1,0.2,0.1000001"],
+         "--dq values 0.1 and 0.1000001 both name files 0.1"),
+        (["classical", "--dq", "0.1", "--series-qc", "0.3,3/10,0.3000002"],
+         "--series-qc values 0.3 and 0.3000002 both name files 0.3"),
+        (["classical", "--dq", "0.1", "--raster-qc", "1/3,0.333333"],
+         "--raster-qc values 0.3333333333333333 and 0.333333 both name files 0.333333"),
+    ],
+)
+def test_values_that_name_one_file_are_refused_before_any_work(
+    tmp_path, capsys, monkeypatch, argv, message
+):
+    def no_work(*args):
+        raise AssertionError("computed before rejecting the input")
+
+    monkeypatch.setattr(spectra, "_blocks", no_work)
+    monkeypatch.setattr(cli, "qc_sweep", no_work)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == f"openbaker: error: {message}; their outputs would collide"
+    assert not out.exists()
+
+
+def test_values_that_differ_in_six_digits_keep_their_files(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["stats", "cumulative", "--n", "16", "--qc", "0.123456,0.123457", "--dq", "0.1"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert sorted(p.name for p in out.glob("*.csv")) == [
+        "cumulative_N16_qc0.123456_dq0.1.csv", "cumulative_N16_qc0.123457_dq0.1.csv"
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
         # rejected in _validate
         (["stats", "cumulative", "--n", "16,4098", "--qc", "0.5", "--dq", "0.1"],
          "openbaker: error: --n 4098 exceeds the solver cap 4096"),

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -62,6 +63,42 @@ def test_spectrum_csv_roundtrip(tmp_path):
     solved = resonance_set(PropagatorSpec(64, OpeningSpec(0.3, 0.1))).values
     csvio.write_spectrum_csv(path, solved)
     assert (csvio.read_spectrum_csv(path) == solved).all()
+
+
+@pytest.mark.parametrize("size", [1, 511, 512, 513, 1025])
+def test_spectrum_csv_blocks_match_a_one_shot_rendering(tmp_path, size):
+    rng = np.random.default_rng(size)
+    values = rng.normal(size=size) + 1j * rng.normal(size=size)
+    values[size // 2 :: 256] = 0  # exact zeros, on and beside block edges
+    values[0] = complex(0.5, -0.0)
+    values[-1] = complex(0.0, -0.0)
+    moduli = np.abs(values)
+    with np.errstate(divide="ignore"):
+        gammas = -2.0 * np.log(moduli)
+    rows = zip(range(size), values.real.tolist(), values.imag.tolist(),
+               moduli.tolist(), gammas.tolist())
+    expected = "index,re,im,modulus,gamma\n" + "".join(
+        "%d,%.17g,%.17g,%.17g,%.17g\n" % row for row in rows
+    )
+    assert f"{size - 1},0,-0,0,inf\n" in expected
+    path = tmp_path / "spec.csv"
+    csvio.write_spectrum_csv(path, values)
+    assert path.read_bytes() == expected.encode("ascii")
+
+
+def test_spectrum_csv_holds_one_block_of_floats(tmp_path):
+    # four whole-column float lists of 4096 rows alone take 0.52 MB
+    rng = np.random.default_rng(4096)
+    values = rng.normal(size=4096) + 1j * rng.normal(size=4096)
+    path = tmp_path / "spec.csv"
+    csvio.write_spectrum_csv(path, values)
+    tracemalloc.start()
+    try:
+        csvio.write_spectrum_csv(path, values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 400_000  # measured 0.30 MB
 
 
 def test_read_spectrum_rejects_other_headers(tmp_path):

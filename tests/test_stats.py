@@ -9,9 +9,11 @@ from openbaker.spectra import ResonanceSet, resonance_set, sort_spectrum
 from openbaker.stats import (
     MAX_BINS,
     ModulusHistogram,
+    WeylDataPoint,
     bin_count,
     cumulative_moduli,
     half_height_width,
+    line_fit,
     modulus_histogram,
     rescaled_decay_histogram,
     synthetic_power_law_points,
@@ -194,3 +196,49 @@ def test_weyl_fit_exact_power_law():
     assert abs(fit.slope - 0.8) < 1e-12
     assert fit.rms_residual < 1e-12
     assert abs(10**fit.intercept_log10 - 3.0) < 1e-10
+
+
+# criterion 07's counts at N = 128, 180, 256, 362, 512, 724, 1024
+WEYL_DIMS = (128, 180, 256, 362, 512, 724, 1024)
+CRITERION_07_COUNTS = {
+    ("0.3", "0.1"): (93, 129, 173, 237, 316, 432, 573),
+    ("0.5", "0.1"): (78, 93, 123, 157, 195, 252, 313),
+    ("0.3", "0.05"): (112, 154, 215, 294, 399, 541, 747),
+    ("0.5", "0.05"): (109, 140, 192, 257, 339, 465, 621),
+    ("0.3", "0.2"): (47, 55, 66, 82, 95, 110, 128),
+    ("0.5", "0.2"): (30, 32, 37, 38, 45, 47, 51),
+}
+
+
+def _polyfit_oracle(dims, counts):
+    x, y = np.log10(dims), np.log10(counts)
+    slope, intercept = np.polyfit(x, y, 1)
+    return slope, intercept, np.sqrt(np.mean((y - (slope * x + intercept)) ** 2))
+
+
+def _random_points(seed):
+    rng = np.random.default_rng(seed)
+    dims = rng.integers(2, 5000, size=rng.integers(4, 30))
+    dims[:2] = 2, 4 * 5000  # span a factor of four
+    counts = rng.integers(1, 10**6, size=dims.size)
+    return [WeylDataPoint(dim=int(d), count=int(c)) for d, c in zip(dims, counts)]
+
+
+@pytest.mark.parametrize(
+    "points",
+    [[WeylDataPoint(dim, count) for dim, count in zip(WEYL_DIMS, counts)]
+     for counts in CRITERION_07_COUNTS.values()]
+    + [_random_points(seed) for seed in range(20)],
+)
+def test_weyl_fit_matches_polyfit(points):
+    fit = weyl_fit(points)
+    slope, intercept, rms = _polyfit_oracle([p.dim for p in points],
+                                            [p.count for p in points])
+    assert fit.slope == pytest.approx(slope, abs=1e-12)
+    assert fit.intercept_log10 == pytest.approx(intercept, abs=1e-12)
+    assert fit.rms_residual == pytest.approx(rms, abs=1e-12)
+
+
+def test_line_fit_recovers_an_exact_line():
+    x = np.array([1.0, 2.0, 4.0, 8.0])
+    assert line_fit(x, 3 * x - 2) == (3.0, -2.0, 0.0)

@@ -156,6 +156,23 @@ def test_escape_rate_matches_polyfit(qc, fit_range):
     assert fit.residual_rms == pytest.approx(rms, abs=1e-12)
 
 
+@pytest.mark.parametrize("fit_range", [(5, 25), (0, 1), (2, 17)])
+@pytest.mark.parametrize("qc", ["0.3", "0.5"])
+def test_escape_rate_keeps_its_closed_form_bits(qc, fit_range):
+    # criteria 01 and 02's openings, against the fit's own earlier expressions
+    series = area_series(OpeningSpec(qc, "0.1"), 25)
+    fit = escape_rate(series, fit_range)
+    t_lo, t_hi = fit_range
+    dt = np.arange(t_lo, t_hi + 1) - (t_lo + t_hi) / 2
+    y = -series.log_areas()[t_lo : t_hi + 1]
+    dy = y - y.mean()
+    slope = dt @ dy / (dt @ dt)
+    resid = dy - slope * dt
+    assert fit.gamma == float(slope)
+    assert fit.d_info == 2.0 - float(slope) / math.log(2)
+    assert fit.residual_rms == float(np.sqrt(np.mean(resid**2)))
+
+
 def _recursion_areas(opening, t_max):
     return [su.measure for _, su in zip(range(t_max + 1), survivor_sets(opening))]
 
