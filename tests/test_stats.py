@@ -13,7 +13,6 @@ from openbaker.stats import (
     bin_count,
     cumulative_moduli,
     half_height_width,
-    line_fit,
     modulus_histogram,
     rescaled_decay_histogram,
     synthetic_power_law_points,
@@ -198,7 +197,7 @@ def test_weyl_fit_exact_power_law():
     assert abs(10**fit.intercept_log10 - 3.0) < 1e-10
 
 
-# criterion 07's counts at N = 128, 180, 256, 362, 512, 724, 1024
+# criterion 07's counts above nu_cut = 0.3 at its openings and dimensions
 WEYL_DIMS = (128, 180, 256, 362, 512, 724, 1024)
 CRITERION_07_COUNTS = {
     ("0.3", "0.1"): (93, 129, 173, 237, 316, 432, 573),
@@ -238,7 +237,3 @@ def test_weyl_fit_matches_polyfit(points):
     assert fit.intercept_log10 == pytest.approx(intercept, abs=1e-12)
     assert fit.rms_residual == pytest.approx(rms, abs=1e-12)
 
-
-def test_line_fit_recovers_an_exact_line():
-    x = np.array([1.0, 2.0, 4.0, 8.0])
-    assert line_fit(x, 3 * x - 2) == (3.0, -2.0, 0.0)
