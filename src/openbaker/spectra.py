@@ -25,6 +25,9 @@ from .propagator import PropagatorSpec, kept_block, open_propagator, parity_bloc
 
 MAX_EIGEN_DIM = 4096
 
+# entries per slice of the finiteness check (_require_finite)
+_FINITE_CHUNK = 1 << 16
+
 # numpy's OpenBLAS under the names each build exports, one row per build:
 # LAPACK's complex eigensolver, the width of the integers it takes (the
 # 64_ suffix marks an ILP64 build) and the thread count's get and set
@@ -56,6 +59,21 @@ def eigenvalues(m: np.ndarray, overwrite: bool = False) -> np.ndarray:
     With overwrite, a writable column-major complex128 m is solved in
     place and left holding LAPACK's scratch; any other m is copied first.
     Where numpy's BLAS is not OpenBLAS (_openblas) this is np.linalg.eigvals.
+    _prepare makes the checks and allocations, the call it returns the solve.
+    """
+    return _prepare(m, overwrite)()
+
+
+def _prepare(m: np.ndarray, overwrite: bool = False) -> Callable[[], np.ndarray]:
+    """Check m and allocate all of its solve's memory; return the solve.
+
+    Here go the shape, cap and finiteness checks, the copy unless m is
+    solved in place (see eigenvalues), zgeev's workspace query and the
+    values, real and complex workspaces it asks for.  The returned call
+    is the bare zgeev call and its info checks: it allocates nothing, so
+    a pool worker that makes it takes no memory of its own (a second
+    malloc arena, numpy temporaries).  The call holds m or its copy
+    until it is dropped.  Without OpenBLAS the call is np.linalg.eigvals.
     """
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -63,16 +81,17 @@ def eigenvalues(m: np.ndarray, overwrite: bool = False) -> np.ndarray:
     n = m.shape[0]
     if n > MAX_EIGEN_DIM:
         raise ValueError(f"dimension {n} exceeds the solver cap {MAX_EIGEN_DIM}")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix contains non-finite entries")
+    _require_finite(m)
     blas = _openblas()
     if blas is None:
-        try:
-            return np.linalg.eigvals(m)
-        except np.linalg.LinAlgError as exc:
-            raise EigensolverError(
-                f"eigenvalue iteration failed on a {n}x{n} matrix: {exc}"
-            ) from exc
+        def numpy_solve():
+            try:
+                return np.linalg.eigvals(m)
+            except np.linalg.LinAlgError as exc:
+                raise EigensolverError(
+                    f"eigenvalue iteration failed on a {n}x{n} matrix: {exc}"
+                ) from exc
+        return numpy_solve
     zgeev, fint = blas.zgeev, blas.fint
     in_place = (overwrite and m.dtype == np.complex128
                 and m.flags.f_contiguous and m.flags.writeable)
@@ -81,24 +100,43 @@ def eigenvalues(m: np.ndarray, overwrite: bool = False) -> np.ndarray:
     rwork = np.empty(2 * n)
     size, lda, ldv, info = fint(n), fint(max(n, 1)), fint(1), fint(0)
 
-    def call(work, lwork):
-        zgeev(b"N", b"N", ctypes.byref(size), a.ctypes.data, ctypes.byref(lda),
-              w.ctypes.data, None, ctypes.byref(ldv), None, ctypes.byref(ldv),
-              work.ctypes.data, ctypes.byref(fint(lwork)), rwork.ctypes.data,
-              ctypes.byref(info))
+    def arguments(work, lwork):
+        # data_as pointers hold their arrays, so the arguments keep every buffer alive
+        return (b"N", b"N", ctypes.byref(size), a.ctypes.data_as(ctypes.c_void_p),
+                ctypes.byref(lda), w.ctypes.data_as(ctypes.c_void_p), None,
+                ctypes.byref(ldv), None, ctypes.byref(ldv),
+                work.ctypes.data_as(ctypes.c_void_p), ctypes.byref(fint(lwork)),
+                rwork.ctypes.data_as(ctypes.c_void_p), ctypes.byref(info))
 
     query = np.zeros(1, dtype=np.complex128)
-    call(query, -1)
+    zgeev(*arguments(query, -1))
     lwork = max(int(query[0].real), 1)
-    call(np.empty(lwork, dtype=np.complex128), lwork)
-    if info.value > 0:
-        raise EigensolverError(
-            f"eigenvalue iteration failed on a {n}x{n} matrix: "
-            f"{info.value} eigenvalues did not converge"
-        )
-    if info.value < 0:
-        raise RuntimeError(f"zgeev rejected argument {-info.value}")
-    return w
+    args = arguments(np.empty(lwork, dtype=np.complex128), lwork)
+
+    def solve():
+        zgeev(*args)
+        if info.value > 0:
+            raise EigensolverError(
+                f"eigenvalue iteration failed on a {n}x{n} matrix: "
+                f"{info.value} eigenvalues did not converge"
+            )
+        if info.value < 0:
+            raise RuntimeError(f"zgeev rejected argument {-info.value}")
+        return w
+
+    return solve
+
+
+def _require_finite(m: np.ndarray) -> None:
+    """Raise ValueError unless every entry of the square m is finite.
+
+    The columns are tested _FINITE_CHUNK entries at a time, so no n x n
+    bool array is formed.
+    """
+    step = max(1, _FINITE_CHUNK // max(m.shape[0], 1))
+    for j in range(0, m.shape[1], step):
+        if not np.isfinite(m[:, j : j + step]).all():
+            raise ValueError("matrix contains non-finite entries")
 
 
 class _OpenBlas(NamedTuple):
@@ -235,21 +273,23 @@ def resonance_sets(specs, jobs: int = 1) -> Iterator[ResonanceSet]:
     """Solve each spec, yielding its read-only ResonanceSet as it finishes.
 
     The specs' blocks (_blocks) are handed out largest spec first, in the
-    order given among equal sizes, to one pool with a thread per
-    available core.  Whenever a worker is free, the first queued block
-    that fits is built on the calling thread (built on a worker, it came
-    from a second malloc arena, and peak RSS then depended on earlier
-    sizes) and solved in place at one BLAS thread, so the bits depend on
-    neither jobs, the core count nor the schedule.  A block fits while
-    the bytes of blocks alive, its own included, stay within jobs times
-    the largest spec's total, 16 bytes per entry of its kept blocks, so
-    blocks of different specs, a lone asymmetric solve's among them,
-    share the cores whenever that allows.  A finished spec is its blocks'
-    eigenvalues plus one exact zero per absorbed site, sorted.  The next
-    block is handed out before it is yielded, so the consumer's work
-    overlaps the solves.  Finished, raised or closed early, the pool is
-    joined and the count restored once no other loop or solve holds it
-    at one.
+    order given among equal sizes, to one worker thread per available
+    core.  Whenever a worker is free, the first queued block that fits is
+    built and prepared (_prepare) on the calling thread, so all of its
+    memory comes from that thread's heap: built on a worker, it came from
+    a second malloc arena, and peak RSS then depended on earlier sizes.
+    The worker only makes the zgeev call, at one BLAS thread, in place,
+    so the bits depend on neither jobs, the core count nor the schedule,
+    and it drops the block before reporting the values (_work).  A block
+    fits while the bytes of blocks alive, its own included, stay within
+    jobs times the largest spec's total, 16 bytes per entry of its kept
+    blocks, so blocks of different specs, a lone asymmetric solve's among
+    them, share the cores whenever that allows.  A finished spec is its
+    blocks' eigenvalues plus one exact zero per absorbed site, sorted.
+    The next block is handed out before it is yielded, so the consumer's
+    work overlaps the solves.  Finished, raised or closed early, the
+    blocks not yet started are dropped, every worker is joined and the
+    count restored once no other loop or solve holds it at one.
     """
     specs = list(specs)
     if jobs < 1:
@@ -259,37 +299,47 @@ def resonance_sets(specs, jobs: int = 1) -> Iterator[ResonanceSet]:
             raise ValueError(f"dimension {spec.dim} exceeds the solver cap {MAX_EIGEN_DIM}")
     if not specs:
         return
-    # imported on first use: it costs every run about 0.25 MB of peak RSS
-    from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+    # imported on first use, so runs that solve nothing never load it
+    from queue import Empty, SimpleQueue
 
     cores = _available_cores()
     blocks = [_blocks(spec) for spec in specs]
     totals = [sum(size for size, _ in spec_blocks) for spec_blocks in blocks]
     budget = jobs * max(totals)
-    queue = [(i, k, size, build) for i in sorted(range(len(specs)), key=lambda i: -totals[i])
-             for k, (size, build) in enumerate(blocks[i])]
+    pending = [(i, k, size, build) for i in sorted(range(len(specs)), key=lambda i: -totals[i])
+               for k, (size, build) in enumerate(blocks[i])]
     parts = [[None] * len(spec_blocks) for spec_blocks in blocks]
-    running, alive = {}, 0
+    running = alive = 0
     with _one_blas_thread():
-        pool = ThreadPoolExecutor(max_workers=cores)
+        jobs_queue, done = SimpleQueue(), SimpleQueue()
+        workers = [threading.Thread(target=_work, args=(jobs_queue, done), daemon=True,
+                                    name=f"openbaker-solve-{n}") for n in range(cores)]
+        for worker in workers:
+            worker.start()
         try:
-            while queue or running:
+            while pending or running:
                 finished = []
                 if running:  # wait once, then record every finished block
-                    done, _ = wait(running, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        i, k, size, _ = running.pop(future)
+                    results = [done.get()]
+                    while not done.empty():
+                        results.append(done.get())
+                    for (i, k, size), values in results:
+                        running -= 1
                         alive -= size
-                        parts[i][k] = future.result()
+                        if isinstance(values, BaseException):
+                            raise values
+                        parts[i][k] = values
                         if all(part is not None for part in parts[i]):
                             finished.append(i)
-                while len(running) < cores:  # build what fits for the free workers
-                    block = next((b for b in queue if alive + b[2] <= budget), None)
+                while running < cores:  # build what fits for the free workers
+                    block = next((b for b in pending if alive + b[2] <= budget), None)
                     if block is None:
                         break
-                    queue.remove(block)
-                    alive += block[2]
-                    running[pool.submit(eigenvalues, block[3](), True)] = block
+                    pending.remove(block)
+                    i, k, size, build = block
+                    alive += size
+                    running += 1
+                    jobs_queue.put(((i, k, size), _prepare(build(), True)))
                 for i in finished:
                     zeros = np.zeros(specs[i].dim - sum(part.size for part in parts[i]))
                     w = sort_spectrum(np.concatenate(parts[i] + [zeros]))
@@ -297,4 +347,32 @@ def resonance_sets(specs, jobs: int = 1) -> Iterator[ResonanceSet]:
                     parts[i] = None
                     yield ResonanceSet(spec=specs[i], values=w)
         finally:
-            pool.shutdown(cancel_futures=True)
+            try:  # drop the blocks no worker has started
+                while True:
+                    jobs_queue.get_nowait()
+            except Empty:
+                pass
+            for _ in workers:
+                jobs_queue.put(None)
+            for worker in workers:
+                worker.join()
+
+
+def _work(jobs, done) -> None:
+    """A solve worker: make each prepared call from the jobs queue until a None.
+
+    Puts (key, values) on the done queue, or (key, exception) for the calling
+    thread to raise.  The call, and with it the block, is dropped before
+    its result is put, so a finished block is freed before its spec can
+    be yielded, and an idle worker holds none.
+    """
+    while (job := jobs.get()) is not None:
+        key, solve = job
+        del job
+        try:
+            result = solve()
+        except BaseException as exc:  # raised again on the calling thread
+            result = exc
+        del solve
+        done.put((key, result))
+        del result

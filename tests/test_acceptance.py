@@ -49,10 +49,6 @@ def classical_fit(qc: str, dq: str):
     return escape_rate(area_series(OpeningSpec(qc, dq), 25))
 
 
-def spectrum(dim: int, qc: str, dq: str):
-    return resonance_set(PropagatorSpec(dim, OpeningSpec(qc, dq)))
-
-
 def spectra(keys) -> dict:
     """{(dim, qc, dq): ResonanceSet} for the keys, solved in one resonance_sets call.
 
@@ -342,10 +338,9 @@ def test_criterion_08_width_contrast():
 
 def test_criterion_09_rescaling_collapse():
     gamma_cl = classical_fit("0.3", "0.1").gamma
-    peaks = {}
-    for dim in (602, 1024):
-        rh = rescaled_decay_histogram(spectrum(dim, "0.3", "0.1"), gamma_cl)
-        peaks[dim] = peak_location(rh)
+    solved = spectra((dim, "0.3", "0.1") for dim in (602, 1024))
+    peaks = {dim: peak_location(rescaled_decay_histogram(rs, gamma_cl))
+             for (dim, _, _), rs in solved.items()}
     ok = all(0.6 <= peak <= 1.5 for peak in peaks.values())
     record(
         9,

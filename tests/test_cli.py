@@ -1,7 +1,6 @@
 """End-to-end command line behavior, run in process."""
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
 import os
@@ -288,20 +287,28 @@ class FakeBlas:
 
 
 def solve_pool_threads() -> set:
-    return {t for t in threading.enumerate() if t.name.startswith("ThreadPoolExecutor")}
+    return {t for t in threading.enumerate() if t.name.startswith("openbaker-solve")}
 
 
 @pytest.fixture
 def recorded_pools(monkeypatch):
-    """The max_workers of every solve pool started, in order."""
-    started = []
+    """The worker count of every solve pool started, in order.
 
-    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            started.append(max_workers)
-            super().__init__(max_workers)
+    A pool's workers share one job queue, and every pool is joined
+    before the next starts.
+    """
+    started, queues, lock = [], [], threading.Lock()
+    work = spectra._work
 
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+    def counting(jobs, done):
+        with lock:
+            if not queues or queues[-1] is not jobs:
+                queues.append(jobs)
+                started.append(0)
+            started[-1] += 1
+        work(jobs, done)
+
+    monkeypatch.setattr(spectra, "_work", counting)
     return started
 
 
@@ -343,20 +350,25 @@ def test_jobs_are_capped_by_the_cpu_affinity(tmp_path, monkeypatch, recorded_poo
 
 def test_solve_many_restores_blas_threads_when_a_solve_raises(tmp_path, monkeypatch):
     blas = FakeBlas(4)
-    solve = spectra.eigenvalues
+    prepare = spectra._prepare
     solved = []
     specs = [PropagatorSpec(dim, OpeningSpec("0.3", "0.1")) for dim in (16, 18, 20)]
     # each spec is one solve of its 14, 16 or 18 kept sites
     dims = {int(spec.kept_mask().sum()): spec.dim for spec in specs}
 
     def failing(m, overwrite=False):
-        solved.append(dims[m.shape[0]])
-        if solved[-1] == 18:
-            raise EigensolverError("QR iteration did not converge")
-        return solve(m, overwrite)
+        dim, solve = dims[m.shape[0]], prepare(m, overwrite)
+
+        def failing_solve():
+            solved.append(dim)
+            if dim == 18:
+                raise EigensolverError("QR iteration did not converge")
+            return solve()
+
+        return failing_solve
 
     blas.install(monkeypatch)
-    monkeypatch.setattr(spectra, "eigenvalues", failing)
+    monkeypatch.setattr(spectra, "_prepare", failing)
     monkeypatch.setattr(spectra, "_available_cores", lambda: 2)
     cache = SpectrumCache(tmp_path)
     before = solve_pool_threads()
@@ -378,13 +390,18 @@ def test_solve_many_restores_the_real_blas_thread_count(tmp_path, monkeypatch):
     get = blas.get_threads
     before = get()
     seen = []
-    solve = spectra.eigenvalues
+    prepare = spectra._prepare
 
     def recording(m, overwrite=False):
-        seen.append(get())
-        return solve(m, overwrite)
+        solve = prepare(m, overwrite)
 
-    monkeypatch.setattr(spectra, "eigenvalues", recording)
+        def counted_solve():
+            seen.append(get())
+            return solve()
+
+        return counted_solve
+
+    monkeypatch.setattr(spectra, "_prepare", recording)
     monkeypatch.setattr(spectra, "_available_cores", lambda: 2)
     specs = [PropagatorSpec(dim, OpeningSpec("0.3", "0.2")) for dim in (16, 18)]
     solved, _ = SpectrumCache(tmp_path).solve(specs, jobs=2)
@@ -533,20 +550,26 @@ def test_weyl_schedule_changes_no_bytes(tmp_path, capsys, monkeypatch):
             assert data == two[path], path
 
 
-def test_cli_import_loads_no_test_dependency():
-    # numpy is the only runtime dependency; the rest are the tests' own,
-    # and the solve pool's concurrent.futures is imported on first use
+def test_cli_import_loads_no_test_dependency(tmp_path):
+    # numpy is the only runtime dependency; the rest are the tests' own
     src = str(Path(openbaker.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    # and the parser is built by main's first call, not at import
+    # and the parser is built by main's first call, not at import; a cold
+    # solve on two workers loads neither concurrent.futures nor the
+    # logging it imports, about 0.34 MB of peak RSS together
     probe = ("import sys, openbaker.cli\n"
              "assert openbaker.cli.build_parser.cache_info().currsize == 0\n"
-             "print(sorted(m for m in sys.modules "
-             "if m.split('.')[0] in ('scipy', 'mpmath', 'hypothesis', 'concurrent')))")
+             "def loaded(*names):\n"
+             "    return sorted(m for m in sys.modules if m.split('.')[0] in names)\n"
+             "print(loaded('scipy', 'mpmath', 'hypothesis', 'concurrent', 'logging'))\n"
+             "assert openbaker.cli.main(['stats', 'width', '--dq', '0.2', '--qc', '0.3',\n"
+             "    '--nmin', '16', '--nmax', '20', '--jobs', '2', '--out', 'out']) == 0\n"
+             "print(loaded('concurrent', 'logging'))\n")
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                            text=True, env=env, timeout=120, check=True)
-    assert result.stdout.strip() == "[]"
+                            text=True, env=env, cwd=tmp_path, timeout=120, check=True)
+    lines = result.stdout.splitlines()
+    assert "computed" in result.stdout and (lines[0], lines[-1]) == ("[]", "[]")
 
 
 def test_cli_jobs_load_neither_numpy_random_nor_numpy_ma(tmp_path):

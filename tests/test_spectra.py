@@ -1,13 +1,14 @@
 """Eigensolver wrapper, canonical ordering, and the slow oracle."""
 
-import concurrent.futures as futures
 import ctypes
 import os
+import queue
 import subprocess
 import sys
 import threading
 import time
 import tracemalloc
+import weakref
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -272,12 +273,13 @@ def test_trace_identity_small():
 def solve_recording_shapes(spec, monkeypatch):
     """resonance_set, also returning the shapes handed to the solver."""
     shapes = []
+    prepare = spectra._prepare
 
-    def recording(m, *args, **kwargs):
+    def recording(m, overwrite=False):
         shapes.append(m.shape)
-        return eigenvalues(m, *args, **kwargs)
+        return prepare(m, overwrite)
 
-    monkeypatch.setattr(spectra, "eigenvalues", recording)
+    monkeypatch.setattr(spectra, "_prepare", recording)
     return resonance_set(spec), shapes
 
 
@@ -413,6 +415,45 @@ def test_solve_peak_memory(qc, budget):
     assert peak < budget * dim**2 * 16, peak / 2**20
 
 
+def test_the_prepared_call_allocates_nothing(one_blas_thread):
+    # buffers, copy and workspace come from _prepare on the calling
+    # thread; the call a pool worker makes is the bare zgeev and its checks
+    if spectra._openblas() is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    rng = np.random.default_rng(9)
+    m = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
+    solve = spectra._prepare(m)
+    tracemalloc.start()
+    try:
+        w = solve()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4096, peak
+    assert same_bits(w, np.linalg.eigvals(m))
+
+
+def test_the_finiteness_check_forms_no_full_mask():
+    # np.isfinite(m) of the whole matrix is n^2 bytes of bools
+    n = 1024
+    m = np.ones((n, n), dtype=np.complex128, order="F")
+    tracemalloc.start()
+    try:
+        spectra._require_finite(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n, peak
+    for column in (0, n // 2, n - 1):
+        for bad in (np.nan, np.inf, complex(0, -np.inf)):
+            m[n // 3, column] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                spectra._require_finite(m)
+            with pytest.raises(ValueError, match="non-finite"):
+                spectra._require_finite(np.ascontiguousarray(m))
+            m[n // 3, column] = 1
+
+
 class FakeBlas:
     """A (get, set) stand-in for OpenBLAS's thread count that logs each set."""
 
@@ -440,25 +481,28 @@ class FakeBlas:
 
 
 def record_solves(monkeypatch, blas, fail_call=None):
-    """Log (thread, BLAS count) for each eigenvalues call, solved by numpy.
+    """Log (thread, BLAS count) for each prepared solve when it runs, solved by numpy.
 
     Call number fail_call raises instead, as a QR failure would.
     """
     calls = []
 
-    def recording(m, overwrite=False):
-        calls.append((threading.current_thread() is threading.main_thread(), blas.threads))
-        if len(calls) == fail_call:
-            raise EigensolverError("QR iteration did not converge")
-        return np.linalg.eigvals(m)
+    def preparing(m, overwrite=False):
+        def solve():
+            calls.append((threading.current_thread() is threading.main_thread(), blas.threads))
+            if len(calls) == fail_call:
+                raise EigensolverError("QR iteration did not converge")
+            return np.linalg.eigvals(m)
+
+        return solve
 
     blas.install(monkeypatch)
-    monkeypatch.setattr(spectra, "eigenvalues", recording)
+    monkeypatch.setattr(spectra, "_prepare", preparing)
     return calls
 
 
 def pool_threads() -> set:
-    return {t for t in threading.enumerate() if t.name.startswith("ThreadPoolExecutor")}
+    return {t for t in threading.enumerate() if t.name.startswith("openbaker-solve")}
 
 
 SYMMETRIC = PropagatorSpec(64, OpeningSpec("0.5", "0.1"))
@@ -504,35 +548,35 @@ def schedule(monkeypatch):
 
     A build entry holds the block's name, (dim, sign) for a parity block
     and the spec for a mirror-asymmetric mask's kept block, the matrix
-    and whether the calling thread built it.  A block counts as alive
-    from its submit to the end of its solve; a submit entry holds the
-    matrix and the bytes and count alive just after it.
+    and whether the calling thread built it.  A submit is the calling
+    thread's put of a job, whose key ends in the block's bytes, and a
+    wait its get of a result.  A block counts as alive from its submit to
+    the put of its result, once its solve has ended; a submit entry holds
+    the block's bytes and the bytes and count alive just after it.
     """
     log, alive, lock = [], [], threading.Lock()
-    parity, kept, real_wait = spectra.parity_block, spectra.kept_block, futures.wait
+    parity, kept = spectra.parity_block, spectra.kept_block
 
     def built(m, name):
         log.append(("build", name, m, threading.current_thread() is threading.main_thread()))
         return m
 
-    class Pool(futures.ThreadPoolExecutor):
-        def submit(self, fn, m, *args):
-            with lock:
-                alive.append(m.nbytes)
-                log.append(("submit", m, sum(alive), len(alive)))
+    class LoggedQueue(queue.SimpleQueue):
+        def put(self, item):
+            if item is not None:  # None stops a worker
+                size = item[0][2]
+                with lock:
+                    if threading.current_thread() is threading.main_thread():
+                        alive.append(size)
+                        log.append(("submit", size, sum(alive), len(alive)))
+                    else:
+                        alive.remove(size)
+            super().put(item)
 
-            def solve():
-                try:
-                    return fn(m, *args)
-                finally:
-                    with lock:
-                        alive.remove(m.nbytes)
-
-            return super().submit(solve)
-
-    def logged_wait(*args, **kwargs):
-        log.append(("wait",))
-        return real_wait(*args, **kwargs)
+        def get(self, *args, **kwargs):
+            if threading.current_thread() is threading.main_thread():
+                log.append(("wait",))
+            return super().get(*args, **kwargs)
 
     monkeypatch.setattr(spectra, "parity_block",
                         lambda dim, keep, sign: built(parity(dim, keep, sign), (dim, sign)))
@@ -545,8 +589,7 @@ def schedule(monkeypatch):
     monkeypatch.setattr(spectra, "_blocks", kept_for)
     monkeypatch.setattr(spectra, "kept_block", lambda dim, keep: built(
         kept(dim, keep), specs[dim, keep.tobytes()]))
-    monkeypatch.setattr(futures, "ThreadPoolExecutor", Pool)
-    monkeypatch.setattr(futures, "wait", logged_wait)
+    monkeypatch.setattr(queue, "SimpleQueue", LoggedQueue)
     return log
 
 
@@ -568,7 +611,7 @@ def check_schedule(log, specs, jobs, cores) -> tuple[list, list]:
     builds, submits = steps[0::2], steps[1::2]
     assert [b[0] for b in builds] == ["build"] * len(builds)
     assert [s[0] for s in submits] == ["submit"] * len(builds)
-    assert all(b[3] and s[1] is b[2] for b, s in zip(builds, submits))
+    assert all(b[3] and s[1] == b[2].nbytes for b, s in zip(builds, submits))
     assert sorted(map(str, (b[1] for b in builds))) == sorted(map(str, block_names(specs)))
     assert builds[0][1] == block_names(specs)[0]
     budget = jobs * max(map(total_bytes, specs))
@@ -604,7 +647,7 @@ def test_paired_solve_restores_blas_threads_when_a_block_raises(monkeypatch):
     assert calls == [(False, 1)] * 2
     assert blas.sets == [1, 2] and blas.threads == 2
     assert spectra._blas_pins == 0
-    # the with block joined the pool: no worker outlives the call
+    # the finally block joined every worker: none outlives the call
     assert pool_threads() == before
 
 
@@ -638,6 +681,39 @@ def test_early_stop_releases_the_lock_and_joins_the_pool(monkeypatch):
     assert spectra._blas_pins == 0 and blas.threads == 4
     assert pool_threads() == before
     assert blas.sets == [1, 4] * 3
+
+
+def test_no_block_outlives_its_solve(monkeypatch):
+    # a worker that kept its last job while waiting for the next held one
+    # more block alive: each block is freed by the time its spec is
+    # yielded, and an idle worker holds none
+    blocks = []  # (dim, weak reference to a block built)
+
+    def recorded(build):
+        def building(dim, *args):
+            block = build(dim, *args)
+            blocks.append((dim, weakref.ref(block)))
+            return block
+
+        return building
+
+    monkeypatch.setattr(spectra, "parity_block", recorded(spectra.parity_block))
+    monkeypatch.setattr(spectra, "kept_block", recorded(spectra.kept_block))
+    # one spec per dim, so a block's dim names its spec
+    specs = [PropagatorSpec(dim, OpeningSpec(qc, dq)) for dim, qc, dq in (
+        (64, "0.5", "0.1"), (66, "0.5", "0.1"), (68, "0.3", "0.1"), (70, "0.3", "0.2"))]
+    count = sum(2 if is_mirror_symmetric(spec) else 1 for spec in specs)
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(spectra, "_available_cores", lambda: cores)
+        for jobs in (1, 2):
+            blocks.clear()
+            yielded = []
+            for rs in resonance_sets(specs, jobs):
+                yielded.append(rs.spec)
+                mine = [ref for dim, ref in blocks if dim == rs.dim]
+                assert mine and all(ref() is None for ref in mine), (cores, jobs, rs.dim)
+            assert len(yielded) == len(specs)
+            assert len(blocks) == count and all(ref() is None for _, ref in blocks)
 
 
 def test_a_solve_inside_the_solve_loop_gives_the_same_bits(monkeypatch):
@@ -799,11 +875,14 @@ def test_jobs_bounds_the_spectra_in_flight(monkeypatch, schedule):
     assert slow_size > int(fast.kept_mask().sum())
 
     def slow_66(m, overwrite=False):
-        if m.shape[0] == slow_size:
-            time.sleep(0.3)
-        return np.linalg.eigvals(m)
+        def solve():
+            if m.shape[0] == slow_size:
+                time.sleep(0.3)
+            return np.linalg.eigvals(m)
 
-    monkeypatch.setattr(spectra, "eigenvalues", slow_66)
+        return solve
+
+    monkeypatch.setattr(spectra, "_prepare", slow_66)
     assert [rs.spec for rs in resonance_sets([slow, fast], 2)] == [fast, slow]
     with pytest.raises(ValueError, match="jobs must be at least 1"):
         next(resonance_sets(specs, 0))
