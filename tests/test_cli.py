@@ -557,7 +557,7 @@ def test_cli_import_loads_no_test_dependency(tmp_path):
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     # and the parser is built by main's first call, not at import; a cold
     # solve on two workers loads neither concurrent.futures nor the
-    # logging it imports, about 0.34 MB of peak RSS together
+    # logging it imports, about 0.25 MB of peak RSS together
     probe = ("import sys, openbaker.cli\n"
              "assert openbaker.cli.build_parser.cache_info().currsize == 0\n"
              "def loaded(*names):\n"
