@@ -312,7 +312,7 @@ def resonance_sets(specs, jobs: int = 1) -> Iterator[ResonanceSet]:
     running = alive = 0
     with _one_blas_thread():
         jobs_queue, done = SimpleQueue(), SimpleQueue()
-        workers = [threading.Thread(target=_work, args=(jobs_queue, done), daemon=True,
+        workers = [threading.Thread(target=_work, args=(jobs_queue, done),
                                     name=f"openbaker-solve-{n}") for n in range(cores)]
         for worker in workers:
             worker.start()
@@ -362,9 +362,11 @@ def _work(jobs, done) -> None:
     """A solve worker: make each prepared call from the jobs queue until a None.
 
     Puts (key, values) on the done queue, or (key, exception) for the calling
-    thread to raise.  The call, and with it the block, is dropped before
-    its result is put, so a finished block is freed before its spec can
-    be yielded, and an idle worker holds none.
+    thread to raise.  After a solve the call, and with it the block, is
+    dropped before its values are put, so a finished block is freed before
+    its spec can be yielded, and an idle worker holds none.  A failed
+    call's frame stays in its exception's traceback, and holds the call's
+    block until the calling thread drops the exception.
     """
     while (job := jobs.get()) is not None:
         key, solve = job

@@ -549,28 +549,47 @@ def schedule(monkeypatch):
     A build entry holds the block's name, (dim, sign) for a parity block
     and the spec for a mirror-asymmetric mask's kept block, the matrix
     and whether the calling thread built it.  A submit is the calling
-    thread's put of a job, whose key ends in the block's bytes, and a
-    wait its get of a result.  A block counts as alive from its submit to
-    the put of its result, once its solve has ended; a submit entry holds
-    the block's bytes and the bytes and count alive just after it.
+    thread's put of a job, a wait its get of a result.  A block counts as
+    alive from its submit to the put of its result, once its solve has
+    ended; a submit entry holds the matrix the job's call was prepared
+    from on the calling thread (None if it was not), the bytes and count
+    alive just after it and the bytes the job's key gives.  The prepare
+    is logged around whatever _prepare a loop starts with, so a test may
+    replace _prepare after this fixture.
     """
-    log, alive, lock = [], [], threading.Lock()
+    log, alive, lock, prepared = [], [], threading.Lock(), {}
     parity, kept = spectra.parity_block, spectra.kept_block
 
     def built(m, name):
         log.append(("build", name, m, threading.current_thread() is threading.main_thread()))
         return m
 
+    def logged(prepare):
+        def logging_prepare(m, overwrite=False):
+            solve = prepare(m, overwrite)
+            if threading.current_thread() is threading.main_thread():
+                prepared[solve] = m
+            return solve
+
+        logging_prepare.inner = prepare
+        return logging_prepare
+
     class LoggedQueue(queue.SimpleQueue):
+        def __init__(self):
+            # made at the start of each loop: log that loop's prepares
+            if not hasattr(spectra._prepare, "inner"):
+                monkeypatch.setattr(spectra, "_prepare", logged(spectra._prepare))
+
         def put(self, item):
             if item is not None:  # None stops a worker
-                size = item[0][2]
+                key, solve = item
                 with lock:
                     if threading.current_thread() is threading.main_thread():
-                        alive.append(size)
-                        log.append(("submit", size, sum(alive), len(alive)))
+                        alive.append(key[2])
+                        log.append(("submit", prepared.pop(solve, None), sum(alive),
+                                    len(alive), key[2]))
                     else:
-                        alive.remove(size)
+                        alive.remove(key[2])
             super().put(item)
 
         def get(self, *args, **kwargs):
@@ -611,7 +630,7 @@ def check_schedule(log, specs, jobs, cores) -> tuple[list, list]:
     builds, submits = steps[0::2], steps[1::2]
     assert [b[0] for b in builds] == ["build"] * len(builds)
     assert [s[0] for s in submits] == ["submit"] * len(builds)
-    assert all(b[3] and s[1] == b[2].nbytes for b, s in zip(builds, submits))
+    assert all(b[3] and s[1] is b[2] and s[4] == b[2].nbytes for b, s in zip(builds, submits))
     assert sorted(map(str, (b[1] for b in builds))) == sorted(map(str, block_names(specs)))
     assert builds[0][1] == block_names(specs)[0]
     budget = jobs * max(map(total_bytes, specs))
