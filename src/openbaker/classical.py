@@ -71,3 +71,38 @@ class OpeningSpec:
         lo, hi = self.edges()
         low = math.ceil(lo * den)
         return low, math.ceil(hi * den) - low
+
+    @property
+    def den(self) -> int:
+        """The least even den that puts both edges on the 1/den grid.
+
+        Even, so that 1/2, the doubling map's discontinuity, is on it too.
+        """
+        lo, hi = self.edges()
+        return math.lcm(2, lo.denominator, hi.denominator)
+
+    def survives(self, k: np.ndarray, den: int, t: int = 0) -> np.ndarray:
+        """Whether each k / den stays out of the hole for t doublings.
+
+        The exact hole test of every grid in the package: k / den is in
+        the hole when (k - low) mod den < width (window), tested at k and
+        at its first t doublings mod den.  k is an integer array with
+        entries in [0, den): int64 for den <= 2^62, an object array of
+        Python ints for any den.  d = (k - low) mod den, and doubling k
+        sends d to (2d + low) mod den, taken as 2d - (den - low) in
+        [-den, 2 den) and folded back by one conditional add and one
+        conditional subtract: no modulo, and every value stays below 2^63
+        at den = 2^62.  low may be den, when the left edge rounds up to 1.
+        """
+        low, width = self.window(den)
+        d = k - low
+        np.add(d, den, out=d, where=d < 0)
+        back = den - low
+        alive = d >= width
+        for _ in range(t):
+            d <<= 1
+            d -= back
+            np.add(d, den, out=d, where=d < 0)
+            np.subtract(d, den, out=d, where=d >= den)
+            alive &= d >= width
+        return alive

@@ -6,11 +6,13 @@ offsets (antiperiodic boundary conditions).  Its entries have a closed
 form, so B and its diagonal are built in O(N^2) and O(N) without the
 matrix product.  Opening the map multiplies by a diagonal projector that
 kills the grid sites inside the absorbing strip, which simply zeroes the
-matching columns.  Its spectrum is that of the kept rows and columns
-plus one exact zero per absorbed site, so the solver gets only those
-(kept_block).  For a mirror-symmetric strip they split further into an
-even and an odd block (parity_block).  Both are copied from the same
-closed form, run by run of kept sites, without the full matrix.
+matching columns.  The sites are picked by the classical side's exact
+hole test (OpeningSpec.survives), so the projector and the trapped set
+absorb the same points.  The spectrum is that of the kept rows and
+columns plus one exact zero per absorbed site, so the solver gets only
+those (kept_block).  For a mirror-symmetric strip they split further
+into an even and an odd block (parity_block).  Both are copied from the
+same closed form, run by run of kept sites, without the full matrix.
 """
 
 from __future__ import annotations
@@ -94,12 +96,11 @@ class PropagatorSpec:
     def kept_mask(self) -> np.ndarray:
         """True at grid sites outside the strip.
 
-        Site j sits at q_j = (2j + 1)/(2 dim), so it is absorbed when the
-        odd integer 2j + 1 falls in the opening's window over 2 dim: the
+        Site j sits at q_j = (2j + 1)/(2 dim), so it is kept when
+        OpeningSpec.survives passes the odd integer 2j + 1 over 2 dim: the
         same exact test the classical side runs, edge sites included.
         """
-        low, width = self.opening.window(2 * self.dim)
-        return (2 * np.arange(self.dim) + 1 - low) % (2 * self.dim) >= width
+        return self.opening.survives(2 * np.arange(self.dim) + 1, 2 * self.dim)
 
     def canonical_mask(self) -> np.ndarray:
         """kept_mask or its mirror image, whichever sorts first.

@@ -365,8 +365,9 @@ def _work(jobs, done) -> None:
     thread to raise.  After a solve the call, and with it the block, is
     dropped before its values are put, so a finished block is freed before
     its spec can be yielded, and an idle worker holds none.  A failed
-    call's frame stays in its exception's traceback, and holds the call's
-    block until the calling thread drops the exception.
+    call's exception goes without its traceback: the call's frame in it
+    would hold the block for as long as the calling thread holds the
+    exception.  Its message names the matrix and LAPACK's info value.
     """
     while (job := jobs.get()) is not None:
         key, solve = job
@@ -374,7 +375,7 @@ def _work(jobs, done) -> None:
         try:
             result = solve()
         except BaseException as exc:  # raised again on the calling thread
-            result = exc
+            result = exc.with_traceback(None)
         del solve
         done.put((key, result))
         del result

@@ -10,8 +10,8 @@ recursion, so the survivor areas A(t) come out as exact Fractions in
 O(cells) per step, and the escape rate is exact: gamma = ln 2 - ln rho
 for the spectral radius rho of the cell transition matrix.
 
-A q_c sweep shares one refinement instead: with den the lcm of 2 and
-every hole-edge denominator on the grid, the den equal cells
+A q_c sweep shares one refinement instead: with den the lcm of every
+opening's OpeningSpec.den on the grid, the den equal cells
 [k/den, (k + 1)/den) refine every opening's partition, and cell k doubles
 onto cells 2k and 2k + 1 mod den.  When den <= MAX_CELLS and den 2^t <
 2^63, all openings advance as one int64 recursion on those cells, a
@@ -19,11 +19,13 @@ block of rows at a time; any other grid runs the per-opening partitions.
 Either way every opening of the grid is built first, so a bad centre
 raises before any area is computed.
 
-Rasters of the trapped set decide each pixel from the doubling orbit of
-its centre, an integer over a common denominator, tested against the
-hole as one modular window of those integers (OpeningSpec.window), the
-same test the Monte Carlo sampler runs on k / 2^53 and the quantum
-projector runs on the grid sites.  No pixel verdict is rounded.
+Every exact grid here is tested against the hole by one function,
+OpeningSpec.survives, which follows k / den through t doublings as
+integers mod den: the partition's cells, the common cells of a sweep
+and the pixels of the rasters, whose doubling orbits start at each
+pixel centre.  The quantum projector runs the same test on the grid
+sites, and the Monte Carlo sampler its uint64 form on k / 2^53.  No
+verdict is rounded.
 """
 
 from __future__ import annotations
@@ -117,8 +119,7 @@ def _markov_partition(opening: OpeningSpec) -> _Partition:
     in one branch and its image is a run of cells; it holds the edges, so
     each cell lies wholly inside or outside the hole.
     """
-    lo, hi = opening.edges()
-    den = math.lcm(2, lo.denominator, hi.denominator)
+    den = opening.den
     half = den // 2
     low, width = opening.window(den)
     points: set[int] = set()
@@ -134,10 +135,12 @@ def _markov_partition(opening: OpeningSpec) -> _Partition:
     cuts = sorted(points)
     index = {x: k for k, x in enumerate(cuts)}
     index[den] = len(cuts)
+    # Python ints, so the test stays exact at any den
+    outside = opening.survives(np.array(cuts, dtype=object), den)
     cuts.append(den)
     kept, first, last = [], [], []
-    for a, b in zip(cuts, cuts[1:]):
-        if (a - low) % den < width:
+    for a, b, out in zip(cuts, cuts[1:], outside):
+        if not out:
             kept.append(0)
             first.append(0)
             last.append(0)
@@ -446,8 +449,7 @@ def qc_sweep(
     openings = [OpeningSpec(qc, delta_q) for qc in qc_values]
     den = 2
     for opening in openings:
-        lo, hi = opening.edges()
-        den = math.lcm(den, lo.denominator, hi.denominator)
+        den = math.lcm(den, opening.den)
         if den > MAX_CELLS:
             break
     if openings and t >= 0 and den <= MAX_CELLS and den << t < 2**63:
@@ -461,23 +463,20 @@ def _common_cell_areas(
 ) -> list[Fraction]:
     """A(t) of each opening whose edges lie on the 1/den grid, den even.
 
-    Cell k lies wholly inside or outside each hole and doubles onto cells
-    2k and 2k + 1 mod den, so the survivor mass of cell k, in units of
-    1/(den 2^t), is m_t(k) = kept(k) (m_{t-1}(2k) + m_{t-1}(2k + 1)), with
-    m_0 = kept.  Cells k and k + den/2 read the same pair.  Every mass
-    and row sum is at most den 2^t, below 2^63.  Rows go _RASTER_CELLS
-    cells at a time, at least one row per block.
+    Cell k lies wholly inside or outside each hole, as OpeningSpec.survives
+    decides at k / den, and doubles onto cells 2k and 2k + 1 mod den, so
+    the survivor mass of cell k, in units of 1/(den 2^t), is m_t(k) =
+    kept(k) (m_{t-1}(2k) + m_{t-1}(2k + 1)), with m_0 = kept.  Cells k and
+    k + den/2 read the same pair.  Every mass and row sum is at most
+    den 2^t, below 2^63.  Rows go _RASTER_CELLS cells at a time, at least
+    one row per block.
     """
     half = den // 2
     cells = np.arange(den, dtype=np.int64)
     rows = max(1, _RASTER_CELLS // den)
     areas = []
     for j in range(0, len(openings), rows):
-        windows = np.array([o.window(den) for o in openings[j : j + rows]])
-        # (k - low) mod den by one conditional add, as in _survives
-        d = cells - windows[:, :1]
-        np.add(d, den, out=d, where=d < 0)
-        kept = d >= windows[:, 1:]
+        kept = np.array([o.survives(cells, den) for o in openings[j : j + rows]])
         mass = kept.astype(np.int64)
         for _ in range(t):
             pairs = mass[:, 0::2] + mass[:, 1::2]
@@ -506,9 +505,10 @@ def render_trapped_set(
     q and adds half of p's leading binary digit, so t of them send q to
     (q + B) / 2^t, with B the first t digits of p in reverse order.  Each
     pixel is then one integer over 2 resolution 2^t (below 2^33 at the
-    CLI caps), whose t + 1 window tests and doublings are exact.  Image
-    rows are decided _RASTER_CELLS pixels at a time, so beside the raster
-    itself the working memory does not grow with the resolution.
+    CLI caps), whose t + 1 hole tests and doublings are exact
+    (OpeningSpec.survives).  Image rows are decided _RASTER_CELLS pixels
+    at a time, so beside the raster itself the working memory does not
+    grow with the resolution.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -519,8 +519,7 @@ def render_trapped_set(
     den = 2 * resolution
     centres = np.arange(1, den, 2, dtype=np.int64)
     if mode == "initial":
-        low, width = opening.window(den)
-        strip = _survives(centres, den, low, width, t)
+        strip = opening.survives(centres, den, t)
         return np.tile(strip, (resolution, 1))[::-1]
     if den << t > 2**62:  # doubling k < den must stay inside int64
         raise ValueError(f"image raster at resolution {resolution} and t={t} "
@@ -531,32 +530,11 @@ def render_trapped_set(
         bit = p >= den
         p[bit] -= den
         digits[bit] += 1 << s
-    low, width = opening.window(den << t)
     trapped = np.empty((resolution, resolution), dtype=bool)
     rows = max(1, _RASTER_CELLS // resolution)
     for j in range(0, resolution, rows):
         # row j holds the pixels whose p centre is centres[j]
         k = centres + den * digits[j : j + rows, None]
-        trapped[j : j + rows] = _survives(k, den << t, low, width, t)
+        trapped[j : j + rows] = opening.survives(k, den << t, t)
     return trapped[::-1]
 
-
-def _survives(k: np.ndarray, den: int, low: int, width: int, t: int) -> np.ndarray:
-    """Whether each k / den stays out of the window for t doublings.
-
-    d = (k - low) mod den, and doubling k sends d to (2d + low) mod den,
-    taken as 2d - (den - low) in [-den, 2 den) and folded back by one
-    conditional add and one conditional subtract: no modulo, and every
-    value stays below 2^63 at den = 2^62.
-    """
-    d = k - low
-    np.add(d, den, out=d, where=d < 0)
-    back = den - low
-    alive = d >= width
-    for _ in range(t):
-        d <<= 1
-        d -= back
-        np.add(d, den, out=d, where=d < 0)
-        np.subtract(d, den, out=d, where=d >= den)
-        alive &= d >= width
-    return alive

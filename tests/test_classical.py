@@ -2,8 +2,9 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from openbaker.classical import OpeningSpec, as_fraction
 from oracles import (
@@ -105,6 +106,67 @@ def test_window_matches_membership():
                 for k in range(den):
                     inside = (k - low) % den < width
                     assert inside == contains_q(opening, Fraction(k, den)), (qc, dq, den, k)
+
+
+# even dens, the Mersenne dens 2^n - 1 of the period-n points, and dens
+# past int64, which only an object array holds
+survives_dens = st.one_of(
+    st.integers(1, 2**40).map(lambda h: 2 * h),
+    st.integers(1, 70).map(lambda n: 2**n - 1),
+    st.integers(2**63 + 1, 2**80),
+)
+edges = st.fractions(0, 1, max_denominator=10**6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    edges.filter(lambda x: x < 1),
+    st.one_of(st.just(Fraction(0)), st.just(Fraction(1)), edges),
+    survives_dens,
+    st.lists(st.integers(0, 2**80), min_size=1, max_size=12),
+    st.integers(0, 12),
+    st.booleans(),
+)
+# the left edge 0.985 rounds up to 1: low = den, and the window holds k = 0
+@example(Fraction(199, 200), Fraction(1, 50), 63, [0, 1, 62], 6, False)
+@example(Fraction(199, 200), Fraction(1, 50), 7, [0, 6], 3, True)
+@example(Fraction(0), Fraction(1, 10), 2**64 + 2, [0, 2**63], 12, True)  # wraps
+def test_survives_matches_fraction_doubling(qc, dq, den, ks, t, as_object):
+    opening = OpeningSpec(qc, dq)
+    low, width = opening.window(den)
+    # beside the drawn k: the k next to both window edges, and the k whose
+    # doublings land there, where they have preimages
+    for edge in (low - 1, low, low + width - 1, low + width):
+        x = edge % den
+        ks.append(x)
+        for _ in range(t):
+            if den % 2:
+                x = x * (den + 1) // 2 % den  # 2x = edge mod den
+            elif x % 2 == 0:
+                x //= 2
+            else:
+                break
+            ks.append(x)
+    ks = [k % den for k in ks]
+    dtype = object if as_object or den > 2**62 else np.int64
+    k = np.array(ks, dtype=dtype)
+    alive = opening.survives(k, den, t)
+    assert alive.dtype == bool and alive.shape == k.shape
+    assert k.tolist() == ks  # k is left as it was
+    # the oracle's Fraction orbit: k / den and its first t doublings
+    expected = [survival_time(PhasePoint(Fraction(x, den), 0), opening, t + 1) is None
+                for x in ks]
+    assert alive.tolist() == expected, (qc, dq, den, t)
+
+
+@pytest.mark.parametrize("qc, dq", [("0", "0"), ("0.5", "0.1"), ("0", "0.1"), ("0.3", "1"),
+                                    ("0.1234", "0.0567"), ("0.999", "0.002")])
+def test_den_is_the_least_even_grid_of_both_edges(qc, dq):
+    opening = OpeningSpec(qc, dq)
+    lo, hi = opening.edges()
+    on_grid = [d for d in range(2, opening.den + 1, 2)
+               if (lo * d).denominator == (hi * d).denominator == 1]
+    assert on_grid[0] == opening.den
 
 
 def test_in_opening_membership():

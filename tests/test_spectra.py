@@ -1,6 +1,7 @@
 """Eigensolver wrapper, canonical ordering, and the slow oracle."""
 
 import ctypes
+import gc
 import os
 import queue
 import subprocess
@@ -733,6 +734,33 @@ def test_no_block_outlives_its_solve(monkeypatch):
                 assert mine and all(ref() is None for ref in mine), (cores, jobs, rs.dim)
             assert len(yielded) == len(specs)
             assert len(blocks) == count and all(ref() is None for _, ref in blocks)
+
+
+def test_a_failed_solve_holds_no_block(monkeypatch):
+    # a worker reports a failed call's exception without its traceback,
+    # whose frame of the call would keep the block alive for as long as
+    # the calling thread holds the exception
+    blas = FakeBlas(1)
+
+    def zgeev(*args):
+        args[-1]._obj.value = 3  # INFO, passed by reference
+
+    monkeypatch.setattr(spectra, "_openblas",
+                        lambda: spectra._OpenBlas(zgeev, ctypes.c_int64, blas.get, blas.set))
+    monkeypatch.setattr(spectra, "_available_cores", lambda: 2)
+    blocks = []
+
+    def building(dim, keep, sign):
+        block = parity_block(dim, keep, sign)
+        blocks.append(weakref.ref(block))
+        return block
+
+    monkeypatch.setattr(spectra, "parity_block", building)
+    with pytest.raises(EigensolverError, match="29x29 matrix: 3 eigenvalues") as raised:
+        resonance_set(SYMMETRIC)
+    gc.collect()
+    assert raised.value is not None  # the error is still held here
+    assert len(blocks) == 2 and all(ref() is None for ref in blocks)
 
 
 def test_a_solve_inside_the_solve_loop_gives_the_same_bits(monkeypatch):

@@ -1,5 +1,6 @@
 """Exact survivor sets, areas, fits and the sampling cross-check."""
 
+import functools
 import math
 import threading
 import time
@@ -400,6 +401,46 @@ def test_monte_carlo_edges_next_to_one():
     o = OpeningSpec("0.99999999999999999999", "0.00000000000000000001")
     assert o.window(2**53) == (2**53, 0)
     assert monte_carlo_area(o, 4, 1000) == monte_carlo_area_float(o, 4, 1000) == (1.0, 0.0)
+
+
+@pytest.mark.parametrize("qc, dq", [
+    ("0.31", "0.1"),
+    ("0.02", "0.1"),  # wraps through q = 0
+    # the left edge rounds up to 1: low = 2^53, and the window holds k = 0
+    ("0.999999999999999999", "0.000000000000000004"),
+    ("0.3", "0"),
+    ("0.3", "1"),
+])
+def test_the_sampler_decides_each_word_as_survives_does(monkeypatch, qc, dq):
+    # one raw word per call, fed through a stand-in default_rng, so each
+    # verdict is the sampler's on that word alone
+    o = OpeningSpec(qc, dq)
+    low, width = o.window(2**53)
+    rng = np.random.default_rng(17)
+    ks = [int(k) for k in rng.integers(0, 2**53, 64)]
+    # words whose j-th doubling lands on or next to an edge, the ones
+    # the stride table leaves doubtful
+    for j in (0, 1, 9, 10, 11, 24, 25, 52):
+        for edge in (low, low + width):
+            for near in (-1, 0, 1):
+                ks.append(((edge + near) % 2**53) >> j | int(rng.integers(0, 2**j)) << (53 - j))
+    words = [k << 11 | int(rng.integers(0, 2**11)) for k in ks]
+
+    class Rng:
+        def __init__(self, seed):
+            self.bit_generator = self
+            self.word = words[seed]
+
+        def random_raw(self, m):
+            return np.array([self.word], dtype=np.uint64)
+
+    monkeypatch.setattr(np.random, "default_rng", Rng)
+    # one table per hole, not per call
+    monkeypatch.setattr(trapped, "_stride_table", functools.cache(trapped._stride_table))
+    for t in (0, 1, 10, 25, 70):
+        decided = [monte_carlo_area(o, t, 1, seed=i)[0] == 1.0 for i in range(len(words))]
+        alive = o.survives(np.array([w >> 11 for w in words], dtype=np.int64), 2**53, t)
+        assert decided == alive.tolist(), t
 
 
 # window edges on or next to a multiple of 2^48 .. 2^58, where the prefix

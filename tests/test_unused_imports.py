@@ -1,9 +1,11 @@
-"""The only imports a package module leaves unused are the tracer's targets.
+"""No dead names in the package: unused imports and unread private names.
 
-The benchmark's span tracer (perfbench/tracing.py) wraps four names
-through the modules that import them, so those imports stay until it is
-re-pointed (ROADMAP item 5).  Any other unused import is dead code.  The
-tracer is read as text and never run.
+The only imports a package module leaves unused are the tracer's
+targets.  The benchmark's span tracer (perfbench/tracing.py) wraps four
+names through the modules that import them, so those imports stay until
+it is re-pointed (ROADMAP item 5).  Any other unused import is dead code,
+and so is a module-level _private name that no module of the package
+reads.  The tracer is read as text and never run.
 """
 
 import ast
@@ -31,6 +33,31 @@ def unused_imports(source: str) -> set[str]:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported.update(alias.asname or alias.name for alias in node.names)
     return imported - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def private_names(source: str) -> set[str]:
+    """Module-level _private names a module defines: functions, classes, assignments."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def names_read(source: str) -> set[str]:
+    """Names a module loads, reads as an attribute, or imports from another module."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
 
 
 def test_unused_imports_reader():
@@ -62,3 +89,20 @@ def test_the_tracer_wraps_each_unused_import():
         and isinstance(call.args[0], ast.Name) and isinstance(call.args[1], ast.Constant)
     }
     assert TRACER_ONLY <= wrapped
+
+
+def test_private_names_reader():
+    source = ("_A = 1\n_b: int = 2\n_c, (_d, E) = 3, (4, 5)\n__all__ = []\n"
+              "class _K:\n    _inner = 0\n\ndef _f():\n    _local = _A\n    return _local\n"
+              "from .m import _g\nx.ns._h = _b\n")
+    assert private_names(source) == {"_A", "_b", "_c", "_d", "_K", "_f"}
+    assert {"_A", "_b", "_g", "_local"} <= names_read(source)
+    assert not {"_c", "_d", "_K", "_f", "_h", "_inner"} & names_read(source)
+
+
+def test_every_private_name_is_read_in_the_package():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    read = set().union(*map(names_read, sources.values()))
+    defined = {(stem, name) for stem, source in sources.items() for name in private_names(source)}
+    assert len(defined) > 40  # the reader still finds the package's names
+    assert {(stem, name) for stem, name in defined if name not in read} == set()
